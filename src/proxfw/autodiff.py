@@ -327,81 +327,71 @@ class Tape:
 
         The tangent is the directional derivative of the recorded program
         at ``w`` along ``dw``; at max/relu kinks the same lowest-index and
-        inactive-at-0 conventions as ``backward`` apply.
+        inactive-at-0 conventions as ``backward`` apply. Primal values
+        come from the forward cache, which is refreshed only when it does
+        not hold ``w``, so repeated calls at one point propagate tangents
+        alone.
         """
         w = np.asarray(w, dtype=float)
         dw = np.asarray(dw, dtype=float)
         if w.shape != (self.num_params,) or dw.shape != (self.num_params,):
             raise ValueError("jvp expects w and dw of length num_params")
-        vals: list = []
+        if not self.nodes:
+            z = np.float64(0.0)
+            return z, z
+        vals = self._values_at(w)
         tans: list = []
-        for node in self.nodes:
+        for i, node in enumerate(self.nodes):
             op = node.op
             if op == "param":
                 start, shape, size = node.payload
-                v = w[start : start + size].reshape(shape)
                 t = dw[start : start + size].reshape(shape)
             elif op == "const":
-                v = node.payload
                 t = np.zeros_like(node.payload)
             elif op == "add":
-                v = vals[node.a] + vals[node.b]
                 t = tans[node.a] + tans[node.b]
             elif op == "sub":
-                v = vals[node.a] - vals[node.b]
                 t = tans[node.a] - tans[node.b]
             elif op == "mul":
-                v = vals[node.a] * vals[node.b]
                 t = tans[node.a] * vals[node.b] + vals[node.a] * tans[node.b]
             elif op == "neg":
-                v = -vals[node.a]
                 t = -tans[node.a]
             elif op == "matmul":
-                v = vals[node.a] @ vals[node.b]
                 t = tans[node.a] @ vals[node.b] + vals[node.a] @ tans[node.b]
             elif op == "relu":
-                v = np.maximum(vals[node.a], 0.0)
                 t = tans[node.a] * (vals[node.a] > 0.0)
             elif op == "exp":
-                v = np.exp(vals[node.a])
-                t = tans[node.a] * v
+                t = tans[node.a] * vals[i]
             elif op == "log":
-                v = np.log(vals[node.a])
                 t = tans[node.a] / vals[node.a]
             elif op == "max":
                 va = vals[node.a]
-                v = np.max(va, axis=-1)
                 if va.ndim <= 1:
                     t = tans[node.a][..., int(np.argmax(va))]
                 else:
-                    rows = np.arange(va.shape[0])
-                    t = tans[node.a][rows, np.argmax(va, axis=-1)]
+                    t = tans[node.a][np.arange(va.shape[0]), np.argmax(va, axis=-1)]
             elif op == "rowsum":
-                v = np.sum(vals[node.a], axis=-1)
                 t = np.sum(tans[node.a], axis=-1)
             elif op == "total":
-                v = np.sum(vals[node.a])
                 t = np.sum(tans[node.a])
             elif op == "select":
-                va = vals[node.a]
-                if va.ndim <= 1:
-                    v = va[int(node.payload)]
-                    t = tans[node.a][int(node.payload)]
+                ta = tans[node.a]
+                if vals[node.a].ndim <= 1:
+                    t = ta[int(node.payload)]
                 else:
-                    rows = np.arange(va.shape[0])
-                    v = va[rows, node.payload]
-                    t = tans[node.a][rows, node.payload]
+                    t = ta[np.arange(ta.shape[0]), node.payload]
             elif op == "reshape":
-                v = vals[node.a].reshape(node.payload)
                 t = tans[node.a].reshape(node.payload)
             else:  # pragma: no cover
                 raise ValueError(f"unknown op {op!r}")
-            vals.append(np.asarray(v, dtype=float))
             tans.append(np.asarray(t, dtype=float))
-        if not vals:
-            z = np.float64(0.0)
-            return z, z
         return vals[-1], tans[-1]
+
+    def _values_at(self, w):
+        # the forward cache at ``w``, recomputed only when it holds another point
+        if self._values is None or not np.array_equal(self._w, w):
+            self.forward(w)
+        return self._values
 
 
 def forward_eval(tape: Tape, w):
@@ -415,10 +405,7 @@ def backward_grad(tape: Tape, w):
     Reuses the forward cache when it matches ``w``, otherwise re-runs the
     forward pass first. Rejects tapes whose output is not a scalar.
     """
-    w = np.asarray(w, dtype=float)
-    if tape._values is None or not np.array_equal(tape._w, w):
-        tape.forward(w)
-    if tape._values[-1].size != 1:
+    if tape._values_at(w)[-1].size != 1:
         raise ValueError("backward_grad needs a scalar output; add a scalar head first")
     return tape.backward()
 

@@ -108,12 +108,15 @@ class SweepRow:
 def _validate(config: RunConfig):
     if config.optimizer not in OPTIMIZERS:
         raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {config.optimizer!r}")
-    if config.loss not in ("svm", "ce"):
-        raise ValueError(f"loss must be 'svm' or 'ce', got {config.loss!r}")
     if config.optimizer == "dfw" and config.loss != "svm":
         raise ValueError("the dfw optimizer trains the svm loss only")
-    if config.eta <= 0 or config.batch_size < 1 or config.epochs < 1:
-        raise ValueError("need eta > 0, batch_size >= 1, epochs >= 1")
+    if not (np.isfinite(config.eta) and config.eta > 0):
+        raise ValueError(f"eta must be finite and positive, got {config.eta!r}")
+    if config.batch_size < 1 or config.epochs < 1:
+        raise ValueError("need batch_size >= 1 and epochs >= 1")
+    for name in ("train", "val"):
+        if len(getattr(config.dataset, name)) == 0:
+            raise ValueError(f"the {name} split is empty")
     if config.direction_mode not in ("auto",) + losses.MODES:
         raise ValueError(f"bad direction mode {config.direction_mode!r}")
     if config.model not in ("linear", "mlp"):
@@ -132,7 +135,7 @@ def _build_model(config: RunConfig) -> models.ModelSpec:
 
 def evaluate(model, w, data, loss: str = "svm"):
     """Mean loss and accuracy of ``w`` on a :class:`~proxfw.data.Dataset`."""
-    F, _ = models.batch_scores(model, w, data.X)
+    F, _ = model.batch_scores(w, data.X)
     pred = np.argmax(F, axis=1)
     acc = float((pred == data.y).mean())
     if loss == "ce":
@@ -143,19 +146,25 @@ def evaluate(model, w, data, loss: str = "svm"):
 
 
 def _init_state(config: RunConfig, model, mode: str, schedule: tuple):
-    w0 = models.init_params(model, config.seed)
+    """Initial optimizer state and the step function that advances it."""
+    w0 = model.init_params(config.seed)
     if config.optimizer == "dfw":
-        return optimizers.DFWState(
+        state = optimizers.DFWState(
             w=w0, eta=config.eta, momentum=config.momentum, l2=config.l2, mode=mode
         )
-    return optimizers.BaselineState(
+        return state, optimizers.dfw_step
+    state = optimizers.BaselineState(
         kind=config.optimizer,
         w=w0,
         lr=config.eta,
         momentum=config.momentum,
         l2=config.l2,
+        loss=config.loss,
         schedule=schedule,
     )
+    if config.optimizer == "sgd":
+        return state, optimizers.sgd_nesterov_step
+    return state, optimizers.adaptive_baseline_step
 
 
 def run_training(config: RunConfig) -> TrainResult:
@@ -169,34 +178,21 @@ def run_training(config: RunConfig) -> TrainResult:
     data = config.dataset
     model = _build_model(config)
     mode = config.resolved_mode(data.num_classes)
-    schedule = config.resolved_schedule()
-    state = _init_state(config, model, mode, schedule)
+    state, step = _init_state(config, model, mode, config.resolved_schedule())
     shuffle_rng = np.random.default_rng([config.seed, _SHUFFLE_STREAM])
-    is_dfw = config.optimizer == "dfw"
 
     metrics: list[EpochMetrics] = []
     diverged = False
     n = len(data.train)
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
-        if not is_dfw:
-            state = replace(state, epoch=epoch)
+        state = replace(state, epoch=epoch)
         order = shuffle_rng.permutation(n)
-        gammas = []
-        switched = 0
-        seen = 0
+        diags = []
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            batch = (data.train.X[idx], data.train.y[idx])
-            if is_dfw:
-                state, diag = optimizers.dfw_step(state, batch, model)
-                gammas.append(diag.step_size)
-                switched += diag.switched
-                seen += diag.batch_size
-            elif config.optimizer == "sgd":
-                state = optimizers.sgd_nesterov_step(state, batch, model, config.loss)
-            else:
-                state = optimizers.adaptive_baseline_step(state, batch, model, config.loss)
+            state, diag = step(state, (data.train.X[idx], data.train.y[idx]), model)
+            diags.append(diag)
             if not np.all(np.isfinite(state.w)):
                 diverged = True
                 break
@@ -207,14 +203,11 @@ def run_training(config: RunConfig) -> TrainResult:
         if not np.isfinite(train_loss):
             diverged = True
             break
-        if is_dfw:
-            mean_gamma = float(np.mean(gammas)) if gammas else 0.0
-            switch_fraction = (
-                switched / seen if (mode == "smoothed" and seen) else 0.0
-            )
+        if diags[0].step_size is None:  # the baselines have no step size
+            mean_gamma = switch_fraction = None
         else:
-            mean_gamma = None
-            switch_fraction = None
+            mean_gamma = float(np.mean([d.step_size for d in diags]))
+            switch_fraction = sum(d.switched for d in diags) / sum(d.batch_size for d in diags)
         metrics.append(
             EpochMetrics(
                 epoch=epoch,

@@ -35,13 +35,6 @@ __all__ = [
 MODES = ("smoothed", "conditional")
 
 
-def _check_label(k: int, y: int):
-    if k < 2:
-        raise ValueError("need at least two classes")
-    if not 0 <= y < k:
-        raise ValueError(f"label {y} outside [0, {k})")
-
-
 def _check_mode(mode: str):
     if mode not in MODES:
         raise ValueError(f"direction mode must be one of {MODES}, got {mode!r}")
@@ -52,41 +45,44 @@ def task_loss(ybar: int, y: int) -> float:
     return 0.0 if ybar == y else 1.0
 
 
+def _row(s) -> np.ndarray:
+    # one sample as a batch of one, so the scalar forms reuse the batch formulas
+    return np.asarray(s, dtype=float)[None, :]
+
+
+def _labeled_row(s, y: int) -> np.ndarray:
+    s = _row(s)
+    k = s.shape[1]
+    if k < 2:
+        raise ValueError("need at least two classes")
+    if not 0 <= y < k:
+        raise ValueError(f"label {y} outside [0, {k})")
+    return s
+
+
 def augmented_scores(s, y: int) -> np.ndarray:
     """Margin-augmented scores: s_j - s_y + task_loss(j, y); zero at ``y``."""
-    s = np.asarray(s, dtype=float)
-    _check_label(s.shape[-1], y)
-    out = s - s[y] + 1.0
-    out[y] = 0.0
-    return out
+    return augmented_scores_batch(_labeled_row(s, y), [y])[0]
 
 
 def hinge_loss(s, y: int) -> float:
     """Multiclass margin-rescaled hinge; nonnegative by construction."""
-    return float(np.max(augmented_scores(s, y)))
+    return float(hinge_loss_batch(_labeled_row(s, y), [y])[0])
 
 
 def cross_entropy(s, y: int) -> float:
     """Softmax cross-entropy with max-shift for overflow safety."""
-    s = np.asarray(s, dtype=float)
-    _check_label(s.shape[-1], y)
-    m = np.max(s)
-    return float(m + np.log(np.sum(np.exp(s - m))) - s[y])
+    return float(cross_entropy_batch(_labeled_row(s, y), [y])[0])
 
 
 def softmax_direction(s) -> np.ndarray:
     """Softmax of the raw scores; a point in the simplex interior."""
-    s = np.asarray(s, dtype=float)
-    e = np.exp(s - np.max(s))
-    return e / e.sum()
+    return softmax_batch(_row(s))[0]
 
 
 def conditional_gradient_direction(aug) -> np.ndarray:
     """One-hot vertex at the augmented-score argmax (lowest index on ties)."""
-    aug = np.asarray(aug, dtype=float)
-    out = np.zeros_like(aug)
-    out[int(np.argmax(aug))] = 1.0
-    return out
+    return conditional_vertex_batch(_row(aug))[0]
 
 
 def dual_direction(aug, scores, mode: str) -> np.ndarray:
@@ -97,13 +93,8 @@ def dual_direction(aug, scores, mode: str) -> np.ndarray:
     when it has positive inner product with the augmented scores (an
     approximate ascent check), otherwise the vertex.
     """
-    _check_mode(mode)
-    aug = np.asarray(aug, dtype=float)
-    if mode == "smoothed":
-        s_ce = softmax_direction(scores)
-        if float(s_ce @ aug) > 0.0:
-            return s_ce
-    return conditional_gradient_direction(aug)
+    S, _ = dual_direction_batch(_row(aug), _row(scores), mode)
+    return S[0]
 
 
 def default_direction_mode(num_classes: int) -> str:
@@ -116,7 +107,11 @@ def default_direction_mode(num_classes: int) -> str:
 
 
 def one_hot(y, k: int) -> np.ndarray:
+    """Rows of the k x k identity picked by ``y``; every label must lie in [0, k)."""
     y = np.asarray(y, dtype=int)
+    bad = y[(y < 0) | (y >= k)]
+    if bad.size:
+        raise ValueError(f"label {bad[0]} outside [0, {k})")
     out = np.zeros((y.shape[0], k))
     out[np.arange(y.shape[0]), y] = 1.0
     return out

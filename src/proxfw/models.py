@@ -26,7 +26,6 @@ __all__ = [
     "init_params",
     "scores",
     "batch_scores",
-    "weight_mask",
     "batch_arrays",
 ]
 
@@ -219,7 +218,3 @@ def scores(model, w, x):
 
 def batch_scores(model, w, X):
     return model.batch_scores(w, X)
-
-
-def weight_mask(model) -> np.ndarray:
-    return model.weight_mask()

@@ -8,8 +8,9 @@ exactly to SGD with Nesterov momentum on the hinge objective, which the
 baseline ``sgd_nesterov_step`` implements directly; ``adaptive_baseline_step``
 covers adagrad, adam and amsgrad with their usual defaults.
 
-All step functions are functional: they return a new state and never
-mutate their inputs.
+Every step function has the same shape: ``step(state, batch, model)``
+returns ``(new_state, StepDiagnostics)`` and never mutates its inputs.
+Baselines report no step size.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .losses import one_hot, softmax_batch
-from .models import batch_arrays, batch_scores, weight_mask
+from .losses import _check_mode, cross_entropy_batch, one_hot, softmax_batch
+from .models import batch_arrays
 from .proximal import _direction_terms, single_step_size
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 BASELINE_KINDS = ("sgd", "adagrad", "adam", "amsgrad")
+LOSSES = ("svm", "ce")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -42,9 +44,22 @@ ADAM_EPS = 1e-8
 ADAGRAD_EPS = 1e-10
 
 
+def _check_hyperparameters(rate_name: str, rate: float, momentum: float, l2: float):
+    if not (np.isfinite(rate) and rate > 0):
+        raise ValueError(f"{rate_name} must be finite and positive, got {rate!r}")
+    if not 0.0 <= momentum < 1.0:
+        raise ValueError(f"momentum must lie in [0, 1), got {momentum!r}")
+    if not (np.isfinite(l2) and l2 >= 0):
+        raise ValueError(f"l2 must be finite and nonnegative, got {l2!r}")
+
+
 @dataclass
 class DFWState:
-    """Iterate of the proximal Frank-Wolfe optimizer."""
+    """Iterate of the proximal Frank-Wolfe optimizer.
+
+    ``epoch`` is advanced by the harness as for the baselines; the step
+    rule itself has no schedule.
+    """
 
     w: np.ndarray
     eta: float
@@ -53,15 +68,12 @@ class DFWState:
     mode: str = "smoothed"
     velocity: np.ndarray | None = None
     step_count: int = 0
+    epoch: int = 0
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=float)
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.l2 < 0:
-            raise ValueError("l2 must be nonnegative")
+        _check_hyperparameters("eta", self.eta, self.momentum, self.l2)
+        _check_mode(self.mode)
         if self.velocity is None:
             self.velocity = np.zeros_like(self.w)
         else:
@@ -70,10 +82,19 @@ class DFWState:
 
 @dataclass
 class StepDiagnostics:
-    step_size: float
+    """What one step reports; ``step_size`` is None for the baselines."""
+
+    step_size: float | None
     mean_loss: float
     switched: int
     batch_size: int
+
+
+def _nesterov(state, velocity_step, w_step):
+    """Nesterov momentum update, shared by dfw and sgd; counts the step."""
+    velocity = state.momentum * state.velocity - velocity_step
+    w = state.w - w_step + state.momentum * velocity
+    return replace(state, w=w, velocity=velocity, step_count=state.step_count + 1)
 
 
 def dfw_step(state: DFWState, batch, model):
@@ -88,12 +109,7 @@ def dfw_step(state: DFWState, batch, model):
         state.w, batch, model, state.l2, state.mode
     )
     gamma = single_step_size(r, delta, loss_term, state.eta)
-    full_dir = r + delta
-    velocity = state.momentum * state.velocity - (state.eta * gamma) * full_dir
-    w = state.w - state.eta * (r + gamma * delta) + state.momentum * velocity
-    new_state = replace(
-        state, w=w, velocity=velocity, step_count=state.step_count + 1
-    )
+    new_state = _nesterov(state, (state.eta * gamma) * (r + delta), state.eta * (r + gamma * delta))
     return new_state, StepDiagnostics(
         step_size=gamma, mean_loss=mean_hinge, switched=switched, batch_size=n
     )
@@ -103,6 +119,7 @@ def dfw_step(state: DFWState, batch, model):
 class BaselineState:
     """Iterate of one of the baseline optimizers.
 
+    ``loss`` is the training objective, "svm" (multiclass hinge) or "ce".
     ``schedule`` is a tuple of ``(epoch, multiplier)`` pairs; every pair
     whose epoch has been reached multiplies the base learning rate. The
     harness advances ``epoch``.
@@ -113,6 +130,7 @@ class BaselineState:
     lr: float
     momentum: float = 0.9
     l2: float = 1e-4
+    loss: str = "svm"
     schedule: tuple = ()
     epoch: int = 0
     step_count: int = 0
@@ -125,9 +143,10 @@ class BaselineState:
     def __post_init__(self):
         if self.kind not in BASELINE_KINDS:
             raise ValueError(f"kind must be one of {BASELINE_KINDS}, got {self.kind!r}")
+        if self.loss not in LOSSES:
+            raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         self.w = np.asarray(self.w, dtype=float)
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        _check_hyperparameters("lr", self.lr, self.momentum, self.l2)
         self.schedule = tuple((int(e), float(m)) for e, m in self.schedule)
         if self.velocity is None:
             self.velocity = np.zeros_like(self.w)
@@ -158,56 +177,60 @@ def default_lr_schedule(epochs: int) -> tuple:
 
 
 def _objective_gradient(w, batch, model, l2: float, loss: str):
-    """Gradient of regularizer + mean loss; one backward pass."""
+    """Gradient of regularizer + mean loss; one backward pass.
+
+    Returns ``(gradient, mean_loss, batch_size)``.
+    """
     if loss == "svm":
-        r, delta, _, mean_hinge, _, _ = _direction_terms(w, batch, model, l2, "conditional")
-        return r + delta, mean_hinge
+        r, delta, _, mean_hinge, _, n = _direction_terms(w, batch, model, l2, "conditional")
+        return r + delta, mean_hinge, n
     if loss == "ce":
         X, y = batch_arrays(batch)
         n = X.shape[0]
-        F, ref = batch_scores(model, w, X)
-        P = softmax_batch(F)
-        seed = (P - one_hot(y, F.shape[1])) / n
+        F, ref = model.batch_scores(w, X)
+        seed = (softmax_batch(F) - one_hot(y, F.shape[1])) / n
         g_loss = ref.tape.backward(seed=seed, at=ref)
-        r = l2 * np.asarray(w, dtype=float) * weight_mask(model)
-        m = F.max(axis=1)
-        ce = m + np.log(np.exp(F - m[:, None]).sum(axis=1)) - F[np.arange(n), y]
-        return r + g_loss, float(ce.mean())
-    raise ValueError(f"loss must be 'svm' or 'ce', got {loss!r}")
+        r = l2 * np.asarray(w, dtype=float) * model.weight_mask()
+        return r + g_loss, float(cross_entropy_batch(F, y).mean()), n
+    raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
 
 
-def sgd_nesterov_step(state: BaselineState, batch, model, loss: str = "svm"):
+def sgd_nesterov_step(state: BaselineState, batch, model):
     """SGD with Nesterov momentum and a stepwise learning-rate schedule."""
     if state.kind != "sgd":
         raise ValueError(f"sgd_nesterov_step on state of kind {state.kind!r}")
-    g, _ = _objective_gradient(state.w, batch, model, state.l2, loss)
-    lr = effective_lr(state)
-    velocity = state.momentum * state.velocity - lr * g
-    w = state.w - lr * g + state.momentum * velocity
-    return replace(state, w=w, velocity=velocity, step_count=state.step_count + 1)
+    g, mean_loss, n = _objective_gradient(state.w, batch, model, state.l2, state.loss)
+    step = effective_lr(state) * g
+    new_state = _nesterov(state, step, step)
+    return new_state, StepDiagnostics(
+        step_size=None, mean_loss=mean_loss, switched=0, batch_size=n
+    )
 
 
-def adaptive_baseline_step(state: BaselineState, batch, model, loss: str = "svm"):
+def adaptive_baseline_step(state: BaselineState, batch, model):
     """One adagrad / adam / amsgrad step on regularizer + mean loss."""
-    g, _ = _objective_gradient(state.w, batch, model, state.l2, loss)
+    if state.kind not in ("adagrad", "adam", "amsgrad"):
+        raise ValueError(f"adaptive_baseline_step on state of kind {state.kind!r}")
+    g, mean_loss, n = _objective_gradient(state.w, batch, model, state.l2, state.loss)
     lr = effective_lr(state)
     t = state.step_count + 1
     if state.kind == "adagrad":
         accum = state.accum + g * g
         w = state.w - lr * g / np.sqrt(accum + ADAGRAD_EPS)
-        return replace(state, w=w, accum=accum, step_count=t)
-    if state.kind == "adam":
+        new_state = replace(state, w=w, accum=accum, step_count=t)
+    else:
         m1 = ADAM_BETA1 * state.m1 + (1.0 - ADAM_BETA1) * g
         m2 = ADAM_BETA2 * state.m2 + (1.0 - ADAM_BETA2) * (g * g)
-        m1_hat = m1 / (1.0 - ADAM_BETA1**t)
-        m2_hat = m2 / (1.0 - ADAM_BETA2**t)
-        w = state.w - lr * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
-        return replace(state, w=w, m1=m1, m2=m2, step_count=t)
-    if state.kind == "amsgrad":
-        # keeps the largest second moment seen, no bias correction
-        m1 = ADAM_BETA1 * state.m1 + (1.0 - ADAM_BETA1) * g
-        m2 = ADAM_BETA2 * state.m2 + (1.0 - ADAM_BETA2) * (g * g)
-        m2_max = np.maximum(state.m2_max, m2)
-        w = state.w - lr * m1 / (np.sqrt(m2_max) + ADAM_EPS)
-        return replace(state, w=w, m1=m1, m2=m2, m2_max=m2_max, step_count=t)
-    raise ValueError(f"adaptive_baseline_step on state of kind {state.kind!r}")
+        if state.kind == "adam":
+            m1_hat = m1 / (1.0 - ADAM_BETA1**t)
+            m2_hat = m2 / (1.0 - ADAM_BETA2**t)
+            w = state.w - lr * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
+            new_state = replace(state, w=w, m1=m1, m2=m2, step_count=t)
+        else:
+            # keeps the largest second moment seen, no bias correction
+            m2_max = np.maximum(state.m2_max, m2)
+            w = state.w - lr * m1 / (np.sqrt(m2_max) + ADAM_EPS)
+            new_state = replace(state, w=w, m1=m1, m2=m2, m2_max=m2_max, step_count=t)
+    return new_state, StepDiagnostics(
+        step_size=None, mean_loss=mean_loss, switched=0, batch_size=n
+    )

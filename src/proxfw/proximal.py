@@ -21,10 +21,9 @@ import numpy as np
 from .losses import (
     augmented_scores_batch,
     dual_direction_batch,
-    hinge_loss_batch,
     one_hot,
 )
-from .models import batch_arrays, batch_scores, weight_mask
+from .models import batch_arrays
 
 __all__ = [
     "ProximalState",
@@ -136,13 +135,13 @@ def _direction_terms(w, batch, model, l2: float, mode: str):
     X, y = batch_arrays(batch)
     n = X.shape[0]
     w = np.asarray(w, dtype=float)
-    F, ref = batch_scores(model, w, X)
+    F, ref = model.batch_scores(w, X)
+    onehot = one_hot(y, F.shape[1])
     aug = augmented_scores_batch(F, y)
     S, switched = dual_direction_batch(aug, F, mode)
     loss_term = float((S * aug).sum() / n)
-    seed = (S - one_hot(y, F.shape[1])) / n
-    delta = ref.tape.backward(seed=seed, at=ref)
-    r = l2 * w * weight_mask(model)
+    delta = ref.tape.backward(seed=(S - onehot) / n, at=ref)
+    r = l2 * w * model.weight_mask()
     mean_hinge = float(aug.max(axis=1).mean())
     return r, delta, loss_term, mean_hinge, switched, n
 
@@ -188,12 +187,11 @@ def proximal_fw_solve(
     X, y = batch_arrays(batch)
     n = X.shape[0]
 
-    r = l2 * w0 * weight_mask(model)
-    F0, ref = batch_scores(model, w0, X)
+    r = l2 * w0 * model.weight_mask()
+    F0, ref = model.batch_scores(w0, X)
     tape = ref.tape
-    k = F0.shape[1]
+    onehot = one_hot(y, F0.shape[1])
     aug0 = augmented_scores_batch(F0, y)
-    onehot = one_hot(y, k)
 
     state = ProximalState(w0=w0, w=w0 - eta * r, lam=0.0, eta=eta)
     diag = SolveDiagnostics()

@@ -229,7 +229,7 @@ def test_criterion_05_sgd_equivalence_at_full_step():
         kept += 1
         sgd = BaselineState(kind="sgd", w=w.copy(), lr=eta, momentum=mu, l2=l2,
                             velocity=v0.copy())
-        sgd_new = sgd_nesterov_step(sgd, (X, yb), model, loss="svm")
+        sgd_new, _ = sgd_nesterov_step(sgd, (X, yb), model)
         worst = max(worst, np.abs(fw_new.w - sgd_new.w).max(),
                     np.abs(fw_new.velocity - sgd_new.velocity).max())
     report(

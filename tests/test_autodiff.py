@@ -135,6 +135,36 @@ def test_jvp_matches_gradient_on_smooth_tape():
     assert np.isclose(float(val), float(forward_eval(tape, w)))
 
 
+def every_op_tape(X):
+    # one node of every primitive; relu zeros in X @ W give max ties
+    tape = Tape(12)
+    W = tape.param(0, (3, 2))
+    v = tape.param(8, (4,))
+    H = (tape.constant(X) @ W + tape.param(6, (2,))).relu()
+    S = H - (-H).exp() * 0.5
+    rows = S.max() + S.select(np.arange(X.shape[0]) % 2) + (S * S).rowsum()
+    V = v.reshape((2, 2))
+    _ = rows.total() + (V @ V).total().exp().log() - v.select(3)
+    return tape
+
+
+def test_jvp_reuses_the_forward_cache_bitwise():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(6, 3))
+    w = rng.normal(size=12)
+    dw = rng.normal(size=12)
+    val, tan = every_op_tape(X).jvp(w, dw)
+    cached = every_op_tape(X)
+    assert cached.forward(w).tobytes() == val.tobytes()
+    stale = every_op_tape(X)
+    stale.forward(w + 1.0)
+    for tape in (cached, stale):
+        v, t = tape.jvp(w, dw)
+        assert v.tobytes() == val.tobytes() and t.tobytes() == tan.tobytes()
+    # the stale cache was refreshed to w, so backward sees the same point
+    assert stale.backward().tobytes() == cached.backward().tobytes()
+
+
 def test_jvp_linearizes_batch_scores():
     # tangent along (w1 - w0) reproduces f(w1) exactly for a linear map
     model = ModelSpec("linear", input_dim=3, num_classes=4)

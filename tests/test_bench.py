@@ -12,7 +12,7 @@ from proxfw.bench import (
     run_training,
     sensitivity_sweep,
 )
-from proxfw.data import generate_synthetic
+from proxfw.data import Dataset, SplitDataset, generate_synthetic
 
 
 def small_blobs(noise=1.0, num_classes=4, seed=0):
@@ -96,9 +96,9 @@ def test_optimizers_share_epoch_shuffles(monkeypatch):
         seen["dfw"].append(np.array(batch[1]))
         return real_dfw(state, batch, model)
 
-    def spy_sgd(state, batch, model, loss="svm"):
+    def spy_sgd(state, batch, model):
         seen["sgd"].append(np.array(batch[1]))
-        return real_sgd(state, batch, model, loss)
+        return real_sgd(state, batch, model)
 
     monkeypatch.setattr(optimizers, "dfw_step", spy_dfw)
     monkeypatch.setattr(optimizers, "sgd_nesterov_step", spy_sgd)
@@ -179,6 +179,17 @@ def test_run_config_validation():
         run_training(RunConfig(dataset=data, direction_mode="stochastic"))
     with pytest.raises(ValueError):
         run_training(RunConfig(dataset=data, model="cnn"))
+    for eta in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
+            run_training(RunConfig(dataset=data, eta=eta))
+    no_val = generate_synthetic("blobs", 40, 0, 10, d=4, num_classes=4, noise=1.0, seed=0)
+    with pytest.raises(ValueError, match="the val split is empty"):
+        run_training(RunConfig(dataset=no_val))
+    no_train = SplitDataset(Dataset(np.zeros((0, 4)), np.zeros(0)), data.val, data.test)
+    with pytest.raises(ValueError, match="the train split is empty"):
+        run_training(RunConfig(dataset=no_train))
+    rows = sensitivity_sweep(RunConfig(dataset=data, epochs=1), [float("nan")])
+    assert rows[0].status == "error"
 
 
 def test_direction_mode_resolution():

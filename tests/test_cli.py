@@ -110,3 +110,12 @@ def test_incompatible_loss_for_dfw_exits_nonzero(capsys):
     code = main(["train", "--dataset", "blobs", *BASE, "--loss", "ce"])
     assert code == 1
     assert "svm" in capsys.readouterr().err
+
+
+def test_non_finite_eta_is_rejected_not_diverged(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    code = main(["train", "--dataset", "blobs", *BASE, "--eta", "nan", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: eta must be finite") and "diverged" not in err
+    assert not out.exists()

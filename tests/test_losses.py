@@ -1,17 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxfw.autodiff import backward_grad
 from proxfw.losses import (
+    MODES,
     augmented_scores,
     augmented_scores_batch,
     conditional_gradient_direction,
+    conditional_vertex_batch,
     cross_entropy,
+    cross_entropy_batch,
     default_direction_mode,
     dual_direction,
     dual_direction_batch,
     hinge_loss,
+    hinge_loss_batch,
     one_hot,
+    softmax_batch,
     softmax_direction,
     task_loss,
 )
@@ -171,3 +178,40 @@ def test_label_out_of_range_rejected():
         cross_entropy(np.array([1.0, 2.0]), -1)
     with pytest.raises(ValueError):
         augmented_scores(np.array([1.0]), 0)
+    with pytest.raises(ValueError, match="label -1 outside"):
+        one_hot([0, -1], 3)
+    with pytest.raises(ValueError, match="label 3 outside"):
+        one_hot([3, 0], 3)
+
+
+# scores drawn partly from a few values, so ties in s and in the
+# augmented scores (including ties with the zero at the label) are common
+SCORE_CASES = st.integers(2, 8).flatmap(
+    lambda k: st.tuples(
+        st.lists(
+            st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-30.0, 30.0)),
+            min_size=k,
+            max_size=k,
+        ),
+        st.integers(0, k - 1),
+    )
+)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(SCORE_CASES)
+def test_scalar_forms_are_row_zero_of_batch_forms(case):
+    s, y = np.array(case[0]), case[1]
+    F, Y = s[None, :], np.array([y])
+    aug = augmented_scores(s, y)
+    assert bits(aug) == bits(augmented_scores_batch(F, Y)[0])
+    assert bits(hinge_loss(s, y)) == bits(hinge_loss_batch(F, Y)[0])
+    assert bits(cross_entropy(s, y)) == bits(cross_entropy_batch(F, Y)[0])
+    assert bits(softmax_direction(s)) == bits(softmax_batch(F)[0])
+    assert bits(conditional_gradient_direction(aug)) == bits(conditional_vertex_batch(aug[None])[0])
+    for mode in MODES:
+        assert bits(dual_direction(aug, s, mode)) == bits(dual_direction_batch(aug[None], F, mode)[0][0])

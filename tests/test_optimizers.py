@@ -4,9 +4,12 @@ import pytest
 from proxfw.autodiff import fd_gradient_oracle
 from proxfw.data import generate_synthetic
 from proxfw.models import ModelSpec, Sample, ToyBinaryModel, init_params
+from proxfw.proximal import proximal_fw_solve
 from proxfw.optimizers import (
+    BASELINE_KINDS,
     BaselineState,
     DFWState,
+    StepDiagnostics,
     adaptive_baseline_step,
     default_lr_schedule,
     dfw_step,
@@ -68,7 +71,7 @@ def test_dfw_step_is_sgd_when_gamma_hits_one():
     fw = DFWState(w=np.zeros(1), eta=1.0, momentum=0.9, l2=0.0, mode="conditional", velocity=v0.copy())
     sgd = BaselineState(kind="sgd", w=np.zeros(1), lr=1.0, momentum=0.9, l2=0.0, velocity=v0.copy())
     fw_new, diag = dfw_step(fw, TOY_BATCH, TOY)
-    sgd_new = sgd_nesterov_step(sgd, TOY_BATCH, TOY, loss="svm")
+    sgd_new, _ = sgd_nesterov_step(sgd, TOY_BATCH, TOY)
     assert diag.step_size == 1.0
     assert np.array_equal(fw_new.w, sgd_new.w)
     assert np.array_equal(fw_new.velocity, sgd_new.velocity)
@@ -122,7 +125,7 @@ def test_sgd_step_worked_example():
     # x=(1,0), y=1, w=0: hinge active at class 0, g=(1,-1,0,0)
     model = linear_pair_model()
     state = BaselineState(kind="sgd", w=np.zeros(4), lr=0.1, momentum=0.0, l2=0.0)
-    new = sgd_nesterov_step(state, [Sample(np.array([1.0, 0.0]), 1)], model)
+    new, _ = sgd_nesterov_step(state, [Sample(np.array([1.0, 0.0]), 1)], model)
     assert np.allclose(new.w, [-0.1, 0.1, 0.0, 0.0])
 
 
@@ -133,7 +136,7 @@ def test_sgd_schedule_multiplies_reached_marks():
         schedule=((3, 0.2),), epoch=3,
     )
     assert effective_lr(state) == 0.1 * 0.2
-    new = sgd_nesterov_step(state, [Sample(np.array([1.0, 0.0]), 1)], model)
+    new, _ = sgd_nesterov_step(state, [Sample(np.array([1.0, 0.0]), 1)], model)
     assert np.allclose(new.w, [-0.02, 0.02, 0.0, 0.0])
     early = BaselineState(kind="sgd", w=np.zeros(4), lr=0.1, schedule=((3, 0.2),), epoch=2)
     assert effective_lr(early) == 0.1
@@ -149,7 +152,7 @@ def test_sgd_zero_gradient_drifts_on_momentum():
         kind="sgd", w=np.array([2.0]), lr=0.1, momentum=0.9, l2=0.0,
         velocity=np.array([0.5]),
     )
-    new = sgd_nesterov_step(state, TOY_BATCH, TOY)
+    new, _ = sgd_nesterov_step(state, TOY_BATCH, TOY)
     assert np.allclose(new.velocity, [0.45])
     assert np.allclose(new.w, new.velocity * 0.9 + 2.0)
 
@@ -159,8 +162,8 @@ def test_sgd_ce_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     w = init_params(model, seed=9)
     x, y = rng.normal(size=3), 2
-    state = BaselineState(kind="sgd", w=w, lr=0.05, momentum=0.0, l2=0.0)
-    new = sgd_nesterov_step(state, [Sample(x, y)], model, loss="ce")
+    state = BaselineState(kind="sgd", w=w, lr=0.05, momentum=0.0, l2=0.0, loss="ce")
+    new, _ = sgd_nesterov_step(state, [Sample(x, y)], model)
     g_implied = (w - new.w) / 0.05
 
     def ce_at(wv):
@@ -175,7 +178,7 @@ def test_adagrad_first_step_worked_example():
     # x=(3,0) makes g=(3,-3,0,0); first-step denominator is sqrt(g^2+eps)
     model = linear_pair_model()
     state = BaselineState(kind="adagrad", w=np.zeros(4), lr=0.1, l2=0.0)
-    new = adaptive_baseline_step(state, [Sample(np.array([3.0, 0.0]), 1)], model)
+    new, _ = adaptive_baseline_step(state, [Sample(np.array([3.0, 0.0]), 1)], model)
     g = np.array([3.0, -3.0, 0.0, 0.0])
     assert np.array_equal(new.w, -0.1 * g / np.sqrt(g * g + 1e-10))
     assert np.allclose(new.w, [-0.1, 0.1, 0.0, 0.0], atol=1e-8)
@@ -185,7 +188,7 @@ def test_adagrad_first_step_worked_example():
 def test_adam_zero_gradient_is_noop():
     state = BaselineState(kind="adam", w=np.array([2.0]), lr=0.1, l2=0.0)
     for _ in range(5):
-        state = adaptive_baseline_step(state, TOY_BATCH, TOY)
+        state, _ = adaptive_baseline_step(state, TOY_BATCH, TOY)
     assert np.array_equal(state.w, [2.0])
 
 
@@ -193,7 +196,7 @@ def test_adam_first_step_is_sign_scaled():
     # bias correction makes the first update lr * g / (|g| + eps)
     model = linear_pair_model()
     state = BaselineState(kind="adam", w=np.zeros(4), lr=0.1, l2=0.0)
-    new = adaptive_baseline_step(state, [Sample(np.array([3.0, 0.0]), 1)], model)
+    new, _ = adaptive_baseline_step(state, [Sample(np.array([3.0, 0.0]), 1)], model)
     assert np.allclose(new.w, [-0.1, 0.1, 0.0, 0.0], atol=1e-7)
     assert new.step_count == 1
 
@@ -206,7 +209,7 @@ def test_amsgrad_second_moment_cap_is_monotone():
     prev = state.m2_max.copy()
     for _ in range(40):
         idx = rng.integers(0, 48, size=6)
-        state = adaptive_baseline_step(state, (data.train.X[idx], data.train.y[idx]), model)
+        state, _ = adaptive_baseline_step(state, (data.train.X[idx], data.train.y[idx]), model)
         assert np.all(state.m2_max >= prev)
         assert np.isfinite(state.w).all()
         prev = state.m2_max.copy()
@@ -237,3 +240,84 @@ def test_dfw_state_validation():
         DFWState(w=np.zeros(2), eta=0.1, momentum=1.0)
     with pytest.raises(ValueError):
         DFWState(w=np.zeros(2), eta=0.1, l2=-1.0)
+
+
+def settings_id(kwargs):
+    return ",".join(f"{k}={v}" for k, v in kwargs.items())
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(eta=float("nan")),
+        dict(eta=float("inf")),
+        dict(eta=-0.1),
+        dict(eta=0.1, momentum=-0.1),
+        dict(eta=0.1, momentum=float("nan")),
+        dict(eta=0.1, l2=float("nan")),
+        dict(eta=0.1, mode="bogus"),
+    ],
+    ids=settings_id,
+)
+def test_dfw_state_rejects_bad_settings(kwargs):
+    with pytest.raises(ValueError):
+        DFWState(w=np.zeros(2), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(lr=float("nan")),
+        dict(lr=float("inf")),
+        dict(lr=-0.1),
+        dict(lr=0.1, momentum=1.5),
+        dict(lr=0.1, momentum=1.0),
+        dict(lr=0.1, l2=-1.0),
+        dict(lr=0.1, l2=float("inf")),
+        dict(lr=0.1, loss="hinge"),
+    ],
+    ids=settings_id,
+)
+def test_baseline_state_rejects_bad_settings(kwargs):
+    with pytest.raises(ValueError):
+        BaselineState(kind="sgd", w=np.zeros(2), **kwargs)
+
+
+STEP_MODEL = ModelSpec("mlp", input_dim=3, num_classes=4, hidden_dims=(5,))
+
+
+def step_of(kind):
+    w = init_params(STEP_MODEL, seed=0)
+    if kind == "dfw":
+        return DFWState(w=w, eta=0.1), dfw_step
+    step = sgd_nesterov_step if kind == "sgd" else adaptive_baseline_step
+    return BaselineState(kind=kind, w=w, lr=0.1), step
+
+
+@pytest.mark.parametrize("kind", ("dfw",) + BASELINE_KINDS)
+def test_every_step_returns_state_and_diagnostics(kind):
+    state, step = step_of(kind)
+    X = np.random.default_rng(1).normal(size=(6, 3))
+    new, diag = step(state, (X, np.array([0, 1, 2, 3, 0, 1])), STEP_MODEL)
+    assert type(new) is type(state) and new.step_count == 1
+    assert isinstance(diag, StepDiagnostics)
+    assert diag.batch_size == 6 and np.isfinite(diag.mean_loss)
+    assert (diag.step_size is None) == (kind != "dfw")
+    if kind != "dfw":
+        assert diag.switched == 0
+
+
+@pytest.mark.parametrize("label", [-1, 4])
+@pytest.mark.parametrize("kind", ["dfw", "sgd", "adam-ce", "solver"])
+def test_labels_outside_the_class_range_are_rejected(kind, label):
+    X = np.random.default_rng(2).normal(size=(3, 3))
+    batch = (X, np.array([0, label, 1]))
+    w = init_params(STEP_MODEL, seed=0)
+    with pytest.raises(ValueError, match=f"label {label} outside"):
+        if kind == "solver":
+            proximal_fw_solve(w, batch, STEP_MODEL, eta=0.1, max_iters=2)
+        elif kind == "adam-ce":
+            adaptive_baseline_step(BaselineState(kind="adam", w=w, lr=0.1, loss="ce"), batch, STEP_MODEL)
+        else:
+            state, step = step_of(kind)
+            step(state, batch, STEP_MODEL)
