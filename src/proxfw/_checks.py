@@ -1,0 +1,13 @@
+"""Numeric input rules shared by every entry point."""
+
+import math
+
+
+def positive(name: str, value) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def nonnegative(name: str, value) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")

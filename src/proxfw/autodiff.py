@@ -245,9 +245,8 @@ class Tape:
         visits = 0
 
         def acc(j, g):
-            if adj[j] is None:
-                adj[j] = np.zeros_like(vals[j])
-            adj[j] = adj[j] + g
+            # never updated in place, so the first write may alias g
+            adj[j] = g if adj[j] is None else adj[j] + g
 
         for i in range(len(self.nodes) - 1, -1, -1):
             visits += 1

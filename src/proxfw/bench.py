@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import losses, models, optimizers
+from ._checks import positive
 from .data import SplitDataset
 
 __all__ = [
@@ -40,6 +41,7 @@ METRICS_HEADER = "epoch,train_loss,train_acc,val_acc,mean_gamma,switch_fraction,
 SWEEP_HEADER = "eta,best_val_acc,final_train_acc,final_train_loss,status"
 
 OPTIMIZERS = ("dfw",) + optimizers.BASELINE_KINDS
+DIRECTION_MODES = ("auto",) + losses.MODES
 
 # stream tags keeping the shuffle order independent from weight init
 _SHUFFLE_STREAM = 7
@@ -110,17 +112,14 @@ def _validate(config: RunConfig):
         raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {config.optimizer!r}")
     if config.optimizer == "dfw" and config.loss != "svm":
         raise ValueError("the dfw optimizer trains the svm loss only")
-    if not (np.isfinite(config.eta) and config.eta > 0):
-        raise ValueError(f"eta must be finite and positive, got {config.eta!r}")
+    positive("eta", config.eta)
     if config.batch_size < 1 or config.epochs < 1:
         raise ValueError("need batch_size >= 1 and epochs >= 1")
     for name in ("train", "val"):
         if len(getattr(config.dataset, name)) == 0:
             raise ValueError(f"the {name} split is empty")
-    if config.direction_mode not in ("auto",) + losses.MODES:
+    if config.direction_mode not in DIRECTION_MODES:
         raise ValueError(f"bad direction mode {config.direction_mode!r}")
-    if config.model not in ("linear", "mlp"):
-        raise ValueError(f"model must be 'linear' or 'mlp', got {config.model!r}")
 
 
 def _build_model(config: RunConfig) -> models.ModelSpec:
@@ -259,41 +258,40 @@ def _fmt(x) -> str:
     return f"{x:.6g}"
 
 
-def emit_metrics(metrics, path):
-    """Write per-epoch metrics under the fixed CSV header."""
-    lines = [METRICS_HEADER]
-    for m in metrics:
-        lines.append(
-            ",".join(
-                [
-                    str(int(m.epoch)),
-                    _fmt(m.train_loss),
-                    _fmt(m.train_acc),
-                    _fmt(m.val_acc),
-                    _fmt(m.mean_gamma),
-                    _fmt(m.switch_fraction),
-                    _fmt(m.wall_time_s),
-                ]
-            )
-        )
+def _write_csv(path, header: str, rows):
+    """Write ``header`` and one comma-joined line per row of fields."""
+    lines = [header] + [",".join(fields) for fields in rows]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def emit_metrics(metrics, path):
+    """Write per-epoch metrics under the fixed CSV header."""
+    rows = [
+        [
+            str(int(m.epoch)),
+            _fmt(m.train_loss),
+            _fmt(m.train_acc),
+            _fmt(m.val_acc),
+            _fmt(m.mean_gamma),
+            _fmt(m.switch_fraction),
+            _fmt(m.wall_time_s),
+        ]
+        for m in metrics
+    ]
+    _write_csv(path, METRICS_HEADER, rows)
 
 
 def emit_sweep(rows, path):
     """Write sweep rows under the fixed sweep CSV header."""
-    lines = [SWEEP_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row.eta),
-                    _fmt(row.best_val_acc),
-                    _fmt(row.final_train_acc),
-                    _fmt(row.final_train_loss),
-                    row.status,
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fields = [
+        [
+            _fmt(row.eta),
+            _fmt(row.best_val_acc),
+            _fmt(row.final_train_acc),
+            _fmt(row.final_train_loss),
+            row.status,
+        ]
+        for row in rows
+    ]
+    _write_csv(path, SWEEP_HEADER, fields)

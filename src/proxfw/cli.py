@@ -3,22 +3,22 @@
 Two subcommands: ``train`` runs one seeded configuration and writes the
 per-epoch metrics CSV; ``sweep`` repeats a configuration over a grid of
 eta values and writes a summary table. Exit status is 0 on success and
-1 when the run diverged or a file could not be read or written.
+1 on a diverged run, a rejected setting or data file, or a failed read or write.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
-from . import __version__
-from .bench import RunConfig, emit_metrics, emit_sweep, run_training, sensitivity_sweep
-from .data import DatasetFormatError, generate_synthetic, load_dataset, split_dataset
+from . import __version__, bench, data, models, optimizers
+from .bench import RunConfig
 
 
 def _parse_schedule(text: str):
     if text in ("auto", "none"):
-        return text if text == "auto" else ()
+        return text
     pairs = []
     for chunk in text.split(","):
         epoch, _, mult = chunk.partition(":")
@@ -50,26 +50,27 @@ def _parse_grid(text: str):
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--optimizer", default="dfw",
-                   choices=["dfw", "sgd", "adagrad", "adam", "amsgrad"])
-    p.add_argument("--eta", "--lr", dest="eta", type=float, default=0.1,
+    # flags that set a RunConfig field use the field name as dest and its default
+    p.add_argument("--optimizer", default=RunConfig.optimizer, choices=bench.OPTIMIZERS)
+    p.add_argument("--eta", "--lr", dest="eta", type=float, default=RunConfig.eta,
                    help="proximal weight for dfw; learning rate for baselines")
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--l2", type=float, default=1e-4)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--model", default="mlp", choices=["linear", "mlp"])
-    p.add_argument("--hidden", type=_parse_hidden, default=(64,),
+    p.add_argument("--momentum", type=float, default=RunConfig.momentum)
+    p.add_argument("--l2", type=float, default=RunConfig.l2)
+    p.add_argument("--batch-size", type=int, default=RunConfig.batch_size)
+    p.add_argument("--epochs", type=int, default=RunConfig.epochs)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--model", default=RunConfig.model, choices=models.KINDS)
+    p.add_argument("--hidden", dest="hidden_dims", metavar="HIDDEN", type=_parse_hidden,
+                   default=RunConfig.hidden_dims,
                    help="comma-separated hidden layer widths (mlp only)")
-    p.add_argument("--loss", default="svm", choices=["svm", "ce"])
-    p.add_argument("--direction-mode", default="auto",
-                   choices=["auto", "smoothed", "conditional"])
-    p.add_argument("--lr-schedule", type=_parse_schedule, default="auto",
+    p.add_argument("--loss", default=RunConfig.loss, choices=optimizers.LOSSES)
+    p.add_argument("--direction-mode", default=RunConfig.direction_mode,
+                   choices=bench.DIRECTION_MODES)
+    p.add_argument("--lr-schedule", type=_parse_schedule, default=RunConfig.lr_schedule,
                    help='"auto", "none", or "epoch:mult,epoch:mult,..."')
     p.add_argument("--dataset", default="blobs",
-                   help='"blobs", "spirals", or a path to a data file')
-    p.add_argument("--data-format", default="csv", choices=["csv", "libsvm"])
+                   help=f"one of {', '.join(data.SYNTHETIC)}, or a path to a data file")
+    p.add_argument("--data-format", default="csv", choices=data.FORMATS)
     p.add_argument("--n-train", type=int, default=5000)
     p.add_argument("--n-val", type=int, default=1000)
     p.add_argument("--n-test", type=int, default=1000)
@@ -84,8 +85,8 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _resolve_dataset(args):
-    if args.dataset in ("blobs", "spirals"):
-        return generate_synthetic(
+    if args.dataset in data.SYNTHETIC:
+        return data.generate_synthetic(
             args.dataset,
             args.n_train,
             args.n_val,
@@ -95,33 +96,20 @@ def _resolve_dataset(args):
             args.noise,
             args.seed,
         )
-    flat = load_dataset(args.dataset, args.data_format)
-    return split_dataset(flat, args.val_fraction, args.test_fraction, args.seed)
+    flat = data.load_dataset(args.dataset, args.data_format)
+    return data.split_dataset(flat, args.val_fraction, args.test_fraction, args.seed)
 
 
 def _make_config(args) -> RunConfig:
-    return RunConfig(
-        dataset=_resolve_dataset(args),
-        optimizer=args.optimizer,
-        eta=args.eta,
-        momentum=args.momentum,
-        l2=args.l2,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        seed=args.seed,
-        model=args.model,
-        hidden_dims=args.hidden,
-        loss=args.loss,
-        direction_mode=args.direction_mode,
-        lr_schedule=args.lr_schedule,
-    )
+    settings = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name != "dataset"}
+    return RunConfig(dataset=_resolve_dataset(args), **settings)
 
 
 def _cmd_train(args) -> int:
     config = _make_config(args)
-    result = run_training(config)
+    result = bench.run_training(config)
     out = args.out or "metrics.csv"
-    emit_metrics(result.metrics, out)
+    bench.emit_metrics(result.metrics, out)
     if result.metrics:
         last = result.metrics[-1]
         print(
@@ -136,9 +124,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _make_config(args)
-    rows = sensitivity_sweep(config, args.eta_grid)
+    rows = bench.sensitivity_sweep(config, args.eta_grid)
     out = args.out or "sweep.csv"
-    emit_sweep(rows, out)
+    bench.emit_sweep(rows, out)
     for row in rows:
         print(
             f"eta={row.eta:g}: best_val_acc={row.best_val_acc:.4f} "
@@ -166,7 +154,7 @@ def main(argv=None) -> int:
         if args.command == "train":
             return _cmd_train(args)
         return _cmd_sweep(args)
-    except (OSError, DatasetFormatError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # DatasetFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,9 +5,9 @@ sitting on a scaled simplex with pairwise distance 2, then standardizes
 every feature dimension; "spirals" interleaves class arms in the first
 two dimensions. Both are fully determined by their seed.
 
-File loaders parse the whole file strictly (malformed rows are reported
-with their line number) and remap labels to 0..K-1 in order of first
-appearance.
+File loaders parse the whole file strictly (malformed rows, non-finite
+features and repeated LIBSVM indices are reported with their line
+number) and remap labels to 0..K-1 in order of first appearance.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._checks import nonnegative
 
 __all__ = [
     "Dataset",
@@ -26,6 +28,9 @@ __all__ = [
     "parse_libsvm_line",
     "split_dataset",
 ]
+
+FORMATS = ("csv", "libsvm")
+SYNTHETIC = ("blobs", "spirals")
 
 
 class DatasetFormatError(ValueError):
@@ -72,6 +77,16 @@ class SplitDataset:
         return int(max(d.y.max() for d in (self.train, self.val, self.test) if len(d))) + 1
 
 
+def _cut(X, y, n_train: int, n_val: int) -> SplitDataset:
+    """Consecutive train / val / test slices of ``X`` and ``y``."""
+    val_end = n_train + n_val
+    return SplitDataset(
+        train=Dataset(X[:n_train], y[:n_train]),
+        val=Dataset(X[n_train:val_end], y[n_train:val_end]),
+        test=Dataset(X[val_end:], y[val_end:]),
+    )
+
+
 def _blob_means(d: int, num_classes: int) -> np.ndarray:
     # simplex vertices scaled so every pair of means is distance 2 apart
     means = np.zeros((num_classes, d))
@@ -101,14 +116,13 @@ def generate_synthetic(
     The same arguments always produce bit-identical arrays. Splits are
     consecutive slices of one draw, so they are disjoint by construction.
     """
-    if kind not in ("blobs", "spirals"):
-        raise ValueError(f"unknown synthetic kind {kind!r}")
+    if kind not in SYNTHETIC:
+        raise ValueError(f"synthetic kind must be one of {SYNTHETIC}, got {kind!r}")
     if min(n_train, n_val, n_test) < 0 or n_train == 0:
         raise ValueError("need n_train > 0 and nonnegative split sizes")
     if num_classes < 2:
         raise ValueError("need at least two classes")
-    if noise < 0:
-        raise ValueError("noise must be nonnegative")
+    nonnegative("noise", noise)
     n = n_train + n_val + n_test
     rng = np.random.default_rng(seed)
     y = rng.integers(0, num_classes, size=n)
@@ -125,12 +139,7 @@ def generate_synthetic(
         X[:, 0] = t * np.cos(theta)
         X[:, 1] = t * np.sin(theta)
         X += noise * rng.standard_normal((n, d))
-    X = _standardize(X)
-    return SplitDataset(
-        train=Dataset(X[:n_train], y[:n_train]),
-        val=Dataset(X[n_train : n_train + n_val], y[n_train : n_train + n_val]),
-        test=Dataset(X[n_train + n_val :], y[n_train + n_val :]),
-    )
+    return _cut(_standardize(X), y, n_train, n_val)
 
 
 def parse_csv_row(row: str):
@@ -138,19 +147,14 @@ def parse_csv_row(row: str):
     parts = [p.strip() for p in row.split(",")]
     if len(parts) < 2:
         raise ValueError("need at least one feature column and a label column")
-    try:
-        features = np.array([float(p) for p in parts[:-1]])
-        label = int(parts[-1])
-    except ValueError as exc:
-        raise ValueError(str(exc)) from None
-    return features, label
+    return np.array([float(p) for p in parts[:-1]]), int(parts[-1])
 
 
 def parse_libsvm_line(line: str):
     """One LIBSVM line: ``label idx:value ...`` with 1-based indices.
 
     Returns ``(pairs, label)`` where pairs is a list of ``(index, value)``
-    with 0-based indices.
+    with 0-based indices. A repeated index is an error.
     """
     parts = line.split()
     if not parts:
@@ -172,17 +176,20 @@ def parse_libsvm_line(line: str):
         if i < 1:
             raise ValueError(f"feature index {i} must be >= 1")
         pairs.append((i - 1, v))
+    if len({i for i, _ in pairs}) < len(pairs):
+        raise ValueError("duplicate feature index")
     return pairs, label
 
 
 def load_dataset(path, fmt: str = "csv") -> Dataset:
     """Load a whole file; labels remapped to 0..K-1 by first appearance."""
-    if fmt not in ("csv", "libsvm"):
-        raise ValueError(f"format must be 'csv' or 'libsvm', got {fmt!r}")
+    if fmt not in FORMATS:
+        raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     rows = []
     raw_labels = []
+    linenos = []
     width = None
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -202,6 +209,7 @@ def load_dataset(path, fmt: str = "csv") -> Dataset:
                 pairs, label = parse_libsvm_line(stripped)
                 rows.append(pairs)
             raw_labels.append(label)
+            linenos.append(lineno)
         except ValueError as exc:
             raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from None
     if not rows:
@@ -214,6 +222,10 @@ def load_dataset(path, fmt: str = "csv") -> Dataset:
                 X[rix, i] = v
     else:
         X = np.stack(rows)
+    # one vectorized pass over the assembled matrix keeps large files fast
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise DatasetFormatError(f"{path}: line {linenos[bad[0]]}: non-finite feature value")
     remap: dict[int, int] = {}
     for lab in raw_labels:
         if lab not in remap:
@@ -232,12 +244,4 @@ def split_dataset(data: Dataset, val_fraction: float, test_fraction: float, seed
     order = np.random.default_rng([seed, 11]).permutation(n)
     n_val = int(n * val_fraction)
     n_test = int(n * test_fraction)
-    n_train = n - n_val - n_test
-    idx_train = order[:n_train]
-    idx_val = order[n_train : n_train + n_val]
-    idx_test = order[n_train + n_val :]
-    return SplitDataset(
-        train=Dataset(data.X[idx_train], data.y[idx_train]),
-        val=Dataset(data.X[idx_val], data.y[idx_val]),
-        test=Dataset(data.X[idx_test], data.y[idx_test]),
-    )
+    return _cut(data.X[order], data.y[order], n - n_val - n_test, n_val)

@@ -52,11 +52,9 @@ def _row(s) -> np.ndarray:
 
 def _labeled_row(s, y: int) -> np.ndarray:
     s = _row(s)
-    k = s.shape[1]
-    if k < 2:
+    if s.shape[1] < 2:
         raise ValueError("need at least two classes")
-    if not 0 <= y < k:
-        raise ValueError(f"label {y} outside [0, {k})")
+    one_hot([y], s.shape[1])  # rejects a label outside [0, k)
     return s
 
 

@@ -29,6 +29,8 @@ __all__ = [
     "batch_arrays",
 ]
 
+KINDS = ("linear", "mlp")
+
 
 @dataclass(frozen=True)
 class Sample:
@@ -50,12 +52,11 @@ class ModelSpec:
     input_dim: int
     num_classes: int
     hidden_dims: tuple = ()
-    activation: str = "relu"
     bias: bool = True
 
     def __post_init__(self):
-        if self.kind not in ("linear", "mlp"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
+        if self.kind not in KINDS:
+            raise ValueError(f"model kind must be one of {KINDS}, got {self.kind!r}")
         if self.input_dim < 1 or self.num_classes < 2:
             raise ValueError("need input_dim >= 1 and num_classes >= 2")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
@@ -65,8 +66,6 @@ class ModelSpec:
             raise ValueError("linear models take no hidden_dims")
         if self.kind == "mlp" and not self.hidden_dims:
             raise ValueError("mlp models need at least one hidden layer")
-        if self.activation != "relu":
-            raise ValueError("only relu activation is supported")
 
     def layer_dims(self):
         dims = (self.input_dim, *self.hidden_dims, self.num_classes)
@@ -128,15 +127,17 @@ class ModelSpec:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.input_dim,):
             raise ValueError(f"expected input of shape ({self.input_dim},), got {x.shape}")
-        tape = Tape(self.param_count)
-        ref = self._build(tape, tape.constant(x))
-        return tape.forward(w), ref
+        return self._run(w, x)
 
     def batch_scores(self, w, X):
         """Scores for a batch, shape (n, num_classes). Returns ``(values, ref)``."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected inputs of shape (n, {self.input_dim}), got {X.shape}")
+        return self._run(w, X)
+
+    def _run(self, w, X):
+        # one program for both input shapes: a 1-D input yields 1-D scores
         tape = Tape(self.param_count)
         ref = self._build(tape, tape.constant(X))
         return tape.forward(w), ref
@@ -168,16 +169,15 @@ class ToyBinaryModel:
         x = np.asarray(x, dtype=float).reshape(-1)
         if x.shape != (1,):
             raise ValueError("ToyBinaryModel takes a single feature")
-        tape = Tape(1)
-        w_ref = tape.param(0)
-        ref = w_ref * tape.constant([float(x[0]), 0.0])
-        return tape.forward(w), ref
+        return self._run(w, x)
 
     def batch_scores(self, w, X):
-        X = np.asarray(X, dtype=float).reshape(-1, 1)
-        cols = np.column_stack([X[:, 0], np.zeros(X.shape[0])])
+        return self._run(w, np.asarray(X, dtype=float).reshape(-1, 1))
+
+    def _run(self, w, X):
+        # feature column(s) X of shape (1,) or (n, 1); the second score is 0
         tape = Tape(1)
-        ref = tape.param(0) * tape.constant(cols)
+        ref = tape.param(0) * tape.constant(np.concatenate([X, np.zeros_like(X)], axis=-1))
         return tape.forward(w), ref
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._checks import nonnegative, positive
 from .losses import _check_mode, cross_entropy_batch, one_hot, softmax_batch
 from .models import batch_arrays
 from .proximal import _direction_terms, single_step_size
@@ -45,12 +46,10 @@ ADAGRAD_EPS = 1e-10
 
 
 def _check_hyperparameters(rate_name: str, rate: float, momentum: float, l2: float):
-    if not (np.isfinite(rate) and rate > 0):
-        raise ValueError(f"{rate_name} must be finite and positive, got {rate!r}")
+    positive(rate_name, rate)
     if not 0.0 <= momentum < 1.0:
         raise ValueError(f"momentum must lie in [0, 1), got {momentum!r}")
-    if not (np.isfinite(l2) and l2 >= 0):
-        raise ValueError(f"l2 must be finite and nonnegative, got {l2!r}")
+    nonnegative("l2", l2)
 
 
 @dataclass
@@ -148,6 +147,8 @@ class BaselineState:
         self.w = np.asarray(self.w, dtype=float)
         _check_hyperparameters("lr", self.lr, self.momentum, self.l2)
         self.schedule = tuple((int(e), float(m)) for e, m in self.schedule)
+        for _, mult in self.schedule:
+            positive("lr schedule multiplier", mult)
         if self.velocity is None:
             self.velocity = np.zeros_like(self.w)
         if self.kind == "adagrad" and self.accum is None:

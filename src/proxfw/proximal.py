@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import nonnegative, positive
 from .losses import (
     augmented_scores_batch,
     dual_direction_batch,
@@ -54,8 +55,7 @@ class ProximalState:
     def __post_init__(self):
         self.w0 = np.asarray(self.w0, dtype=float)
         self.w = np.asarray(self.w, dtype=float)
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        positive("eta", self.eta)
         if self.w0.shape != self.w.shape:
             raise ValueError("w0 and w must have the same shape")
 
@@ -95,8 +95,7 @@ def optimal_step_size(state: ProximalState, vertex: DualVertex) -> float:
     iterate to the vertex. Degenerate directions (denominator below
     ``DEGENERATE_DENOM``) return 0.
     """
-    if state.eta <= 0:
-        raise ValueError("eta must be positive")
+    positive("eta", state.eta)
     moved = state.w - state.w0
     gap_dir = moved - vertex.w
     denom = float(gap_dir @ gap_dir)
@@ -113,8 +112,7 @@ def single_step_size(r, delta, loss_term: float, eta: float) -> float:
     [0, 1], with 0 on degenerate ``delta``; ``loss_term`` is the mean
     direction-weighted augmented score s'b of the batch.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    positive("eta", eta)
     r = np.asarray(r, dtype=float)
     delta = np.asarray(delta, dtype=float)
     sq = float(delta @ delta)
@@ -179,8 +177,8 @@ def proximal_fw_solve(
     step sizes and gaps. ``max_iters=0`` returns the initial iterate
     ``w0 - eta * r``.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    positive("eta", eta)
+    nonnegative("l2", l2)
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     w0 = np.asarray(w0, dtype=float)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -198,3 +203,40 @@ def test_direction_mode_resolution():
     assert RunConfig(dataset=data3).resolved_mode(3) == "conditional"
     assert RunConfig(dataset=data4).resolved_mode(4) == "smoothed"
     assert RunConfig(dataset=data4, direction_mode="conditional").resolved_mode(4) == "conditional"
+
+
+DETERMINISM_RUN = """
+import sys
+from proxfw import RunConfig, emit_metrics, generate_synthetic, run_training
+data = generate_synthetic("blobs", 1024, 256, 0, d=32, num_classes=10, noise=1.0, seed=0)
+for optimizer, loss, eta in (("dfw", "svm", 0.1), ("adam", "ce", 0.01)):
+    config = RunConfig(dataset=data, optimizer=optimizer, loss=loss, eta=eta,
+                       epochs=2, batch_size=256, hidden_dims=(128,), seed=5)
+    result = run_training(config)
+    emit_metrics(result.metrics, sys.argv[1] + "_" + optimizer + ".csv")
+    result.final_w.tofile(sys.argv[1] + "_" + optimizer + ".w")
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        prefix = tmp_path / f"threads_{threads}"
+        subprocess.run(
+            [sys.executable, "-c", DETERMINISM_RUN, str(prefix)], env=env, check=True, timeout=120
+        )
+        files = {}
+        for optimizer in ("dfw", "adam"):
+            csv = Path(f"{prefix}_{optimizer}.csv").read_text().splitlines()
+            files[optimizer] = (
+                [line.rsplit(",", 1)[0] for line in csv],  # drop wall_time_s
+                Path(f"{prefix}_{optimizer}.w").read_bytes(),
+            )
+        outputs.append(files)
+    assert len(outputs[0]["dfw"][0]) == len(outputs[0]["adam"][0]) == 3
+    assert outputs[0] == outputs[1]

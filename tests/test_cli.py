@@ -1,8 +1,11 @@
+import argparse
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from proxfw.bench import METRICS_HEADER, SWEEP_HEADER
-from proxfw.cli import main
+from proxfw.bench import METRICS_HEADER, SWEEP_HEADER, RunConfig
+from proxfw.cli import _add_common, main
 
 
 BASE = [
@@ -53,6 +56,10 @@ def test_malformed_dataset_file_exits_nonzero(tmp_path, capsys):
     code = main(["train", "--dataset", str(bad), "--model", "linear"])
     assert code == 1
     assert "line 2" in capsys.readouterr().err
+    bad.write_text("1.0,2.0,0\n1.0,nan,1\n")
+    code = main(["train", "--dataset", str(bad), "--model", "linear"])
+    assert code == 1
+    assert "line 2: non-finite" in capsys.readouterr().err
 
 
 def test_sweep_writes_table(tmp_path, capsys):
@@ -119,3 +126,21 @@ def test_non_finite_eta_is_rejected_not_diverged(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: eta must be finite") and "diverged" not in err
     assert not out.exists()
+
+
+def test_non_finite_noise_is_rejected_not_diverged(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    code = main(["train", "--dataset", "blobs", *BASE, "--noise", "nan", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: noise must be finite") and "diverged" not in err
+    assert not out.exists()
+
+
+def test_every_run_config_field_has_a_flag_with_its_default():
+    parser = argparse.ArgumentParser()
+    _add_common(parser)
+    args = parser.parse_args([])
+    for f in fields(RunConfig):
+        if f.name != "dataset":
+            assert getattr(args, f.name) == f.default, f.name

@@ -69,6 +69,25 @@ def test_malformed_rows_name_the_line(tmp_path):
         load_dataset(q, "libsvm")
 
 
+@pytest.mark.parametrize(
+    "fmt, bad_line, reason",
+    [
+        ("csv", "1.0,nan,1", "non-finite feature value"),
+        ("csv", "-inf,2.0,1", "non-finite feature value"),
+        ("libsvm", "1 2:inf", "non-finite feature value"),
+        ("libsvm", "0 1:1.0 1:2.0", "duplicate feature index"),
+    ],
+    ids=["csv-nan", "csv-inf", "libsvm-inf", "libsvm-duplicate"],
+)
+def test_bad_values_name_the_line(tmp_path, fmt, bad_line, reason):
+    # the blank line checks that line numbers count every line of the file
+    good = "1.0,2.0,0" if fmt == "csv" else "0 1:1.0 2:2.0"
+    p = tmp_path / "d.txt"
+    p.write_text(f"{good}\n\n{bad_line}\n{good}\n")
+    with pytest.raises(DatasetFormatError, match=f"line 3: {reason}"):
+        load_dataset(p, fmt)
+
+
 def test_empty_file_rejected(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("\n\n")
@@ -134,6 +153,9 @@ def test_generate_synthetic_validation():
         generate_synthetic("spirals", 10, 0, 0, d=1, num_classes=2, noise=0.1, seed=0)
     with pytest.raises(ValueError):
         generate_synthetic("blobs", 10, 0, 0, d=3, num_classes=2, noise=-0.1, seed=0)
+    for noise in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise must be finite and nonnegative"):
+            generate_synthetic("blobs", 10, 0, 0, d=3, num_classes=2, noise=noise, seed=0)
 
 
 def test_split_dataset_partitions_rows():

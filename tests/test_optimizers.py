@@ -275,6 +275,8 @@ def test_dfw_state_rejects_bad_settings(kwargs):
         dict(lr=0.1, l2=-1.0),
         dict(lr=0.1, l2=float("inf")),
         dict(lr=0.1, loss="hinge"),
+        dict(lr=0.1, schedule=((1, float("nan")),)),
+        dict(lr=0.1, schedule=((1, -0.2),)),
     ],
     ids=settings_id,
 )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxfw.data import generate_synthetic
 from proxfw.losses import hinge_loss_batch
@@ -151,6 +153,48 @@ def test_proximal_fw_solve_rejects_bad_arguments():
         proximal_fw_solve(np.zeros(1), Sample(np.array([1.0]), 0), model, eta=0.0)
     with pytest.raises(ValueError):
         proximal_fw_solve(np.zeros(1), Sample(np.array([1.0]), 0), model, eta=1.0, max_iters=-1)
+    for l2 in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="l2 must be finite and nonnegative"):
+            proximal_fw_solve(np.zeros(1), Sample(np.array([1.0]), 0), model, eta=1.0, l2=l2)
+
+
+def _call_with_eta(entry, eta):
+    if entry == "state":
+        mk_state([0.0], [0.0], lam=0.0, eta=eta)
+    elif entry == "optimal_step_size":
+        state = mk_state([0.0], [1.0], lam=0.0, eta=1.0)
+        state.eta = eta
+        optimal_step_size(state, DualVertex(w=np.zeros(1), lam=1.0))
+    elif entry == "single_step_size":
+        single_step_size(np.zeros(1), np.array([2.0]), 0.8, eta=eta)
+    else:
+        proximal_fw_solve(np.zeros(1), Sample(np.array([1.0]), 0), ToyBinaryModel(), eta=eta)
+
+
+@pytest.mark.parametrize("eta", [float("nan"), float("inf")])
+@pytest.mark.parametrize("entry", ["state", "optimal_step_size", "single_step_size", "solve"])
+def test_proximal_entry_points_reject_non_finite_eta(entry, eta):
+    with pytest.raises(ValueError, match="eta must be finite and positive"):
+        _call_with_eta(entry, eta)
+
+
+# |x| <= 1e6 keeps every product far from overflow: inputs whose squared
+# norms overflow float64 make both functions return NaN, which this
+# property does not cover. eta spans 16 decades.
+FINITE = st.floats(-1e6, 1e6)
+ETA = st.floats(1e-8, 1e8)
+VECTORS = st.integers(1, 6).flatmap(
+    lambda p: st.tuples(*[st.lists(FINITE, min_size=p, max_size=p)] * 3)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(VECTORS, FINITE, FINITE, ETA)
+def test_step_sizes_lie_in_unit_interval(vectors, a, b, eta):
+    u, v, t = (np.array(x) for x in vectors)
+    assert 0.0 <= single_step_size(u, v, a, eta) <= 1.0
+    state = ProximalState(w0=u, w=v, lam=a, eta=eta)
+    assert 0.0 <= optimal_step_size(state, DualVertex(w=t, lam=b)) <= 1.0
 
 
 def test_dual_objectives_never_decrease():
