@@ -8,12 +8,24 @@ directional derivatives. Graphs are built through :class:`Ref` handles,
 which overload the usual arithmetic operators, so model code reads like
 plain numpy.
 
-Supported primitives: parameter views, constants, add, sub, mul, neg,
-matmul, relu, exp, log, max (last-axis reduction), rowsum, total, select
-(index / per-row gather) and reshape. Piecewise-linear primitives use a
-fixed subgradient convention: max routes its adjoint to the lowest-index
-maximizer and relu uses derivative 0 at 0, so backward passes are
-deterministic even at kinks.
+A program can also be recorded once and run on many inputs. ``input()``
+records a slot in place of the input array; ``replay(X)`` returns a new
+tape that shares the recorded nodes (one list copy, no rebuild) with the
+slot bound to ``X``. Nodes appended to the replay, such as a loss head,
+stay off the recorded program.
+
+Every node records whether its value depends on a parameter. Sweeps skip
+the rest: ``backward`` computes no adjoint into a node that depends on
+no parameter (the input matrix of a first layer, say), and ``jvp``
+carries no zero tangents through such nodes. Parameter gradients and
+output tangents are computed by the same operations as a full sweep.
+
+Supported primitives: parameter views, constants, input slots, add, sub,
+mul, neg, matmul, relu, exp, log, max (last-axis reduction), rowsum,
+total, select (index / per-row gather) and reshape. Piecewise-linear
+primitives use a fixed subgradient convention: max routes its adjoint to
+the lowest-index maximizer and relu uses derivative 0 at 0, so backward
+passes are deterministic even at kinks.
 """
 
 from __future__ import annotations
@@ -35,13 +47,15 @@ def _unbroadcast(grad, shape):
 
 
 class _Node:
-    __slots__ = ("op", "a", "b", "payload")
+    # live: the node's value depends on at least one parameter
+    __slots__ = ("op", "a", "b", "payload", "live")
 
-    def __init__(self, op, a=-1, b=-1, payload=None):
+    def __init__(self, op, a, b, payload, live):
         self.op = op
         self.a = a
         self.b = b
         self.payload = payload
+        self.live = live
 
 
 class Ref:
@@ -115,6 +129,8 @@ class Tape:
     Nodes are stored in construction order, which is a topological order
     by construction, so forward and reverse sweeps each visit every node
     exactly once. The output is the most recently appended node.
+    ``bound_input`` is the array that input nodes read: None on a
+    recorded program, the replayed ``X`` on a replay.
     """
 
     def __init__(self, num_params: int):
@@ -122,6 +138,7 @@ class Tape:
             raise ValueError("num_params must be nonnegative")
         self.num_params = int(num_params)
         self.nodes: list[_Node] = []
+        self.bound_input = None
         self._values = None
         self._w = None
         self.last_backward_visits = 0
@@ -130,16 +147,13 @@ class Tape:
         return len(self.nodes)
 
     def _push(self, op, a=None, b=None, payload=None) -> Ref:
-        self.nodes.append(
-            _Node(
-                op,
-                a.index if a is not None else -1,
-                b.index if b is not None else -1,
-                payload,
-            )
-        )
+        nodes = self.nodes
+        ia = a.index if a is not None else -1
+        ib = b.index if b is not None else -1
+        live = op == "param" or (ia >= 0 and nodes[ia].live) or (ib >= 0 and nodes[ib].live)
+        nodes.append(_Node(op, ia, ib, payload, live))
         self._values = None
-        return Ref(self, len(self.nodes) - 1)
+        return Ref(self, len(nodes) - 1)
 
     def param(self, start: int, shape=()) -> Ref:
         """View of the parameter slots ``[start, start + prod(shape))``."""
@@ -154,6 +168,21 @@ class Tape:
 
     def constant(self, value) -> Ref:
         return self._push("const", payload=np.asarray(value, dtype=float))
+
+    def input(self) -> Ref:
+        """The slot for the input array that each :meth:`replay` binds."""
+        return self._push("input")
+
+    def replay(self, X) -> Tape:
+        """A new tape running this tape's program with its input bound to ``X``.
+
+        The new tape shares the recorded nodes, so it costs one list copy;
+        nodes appended to it stay off this tape.
+        """
+        tape = Tape(self.num_params)
+        tape.nodes = self.nodes.copy()
+        tape.bound_input = np.asarray(X, dtype=float)
+        return tape
 
     @property
     def output(self) -> Ref:
@@ -179,6 +208,10 @@ class Tape:
                 v = w[start : start + size].reshape(shape)
             elif op == "const":
                 v = node.payload
+            elif op == "input":
+                v = self.bound_input
+                if v is None:
+                    raise ValueError("the input slot is unbound; run the program through replay")
             elif op == "add":
                 v = vals[node.a] + vals[node.b]
             elif op == "sub":
@@ -222,12 +255,14 @@ class Tape:
         ``seed`` is the adjoint of the node ``at`` (default: the output).
         With no seed the output must be scalar and the seed is 1. Requires
         a cached ``forward``; each call visits every node exactly once and
-        records the count in ``last_backward_visits``.
+        records the count in ``last_backward_visits``. No adjoint is
+        computed for a node that depends on no parameter.
         """
         if self._values is None:
             raise ValueError("run forward before backward")
         vals = self._values
-        out_index = at.index if at is not None else len(self.nodes) - 1
+        nodes = self.nodes
+        out_index = at.index if at is not None else len(nodes) - 1
         out_val = vals[out_index]
         if seed is None:
             if out_val.size != 1:
@@ -239,55 +274,57 @@ class Tape:
                 raise ValueError(
                     f"seed shape {seed.shape} does not match output shape {out_val.shape}"
                 )
-        adj: list = [None] * len(self.nodes)
-        adj[out_index] = seed
+        adj: list = [None] * len(nodes)
+        if nodes[out_index].live:
+            adj[out_index] = seed
         grad = np.zeros(self.num_params)
-        visits = 0
 
         def acc(j, g):
             # never updated in place, so the first write may alias g
             adj[j] = g if adj[j] is None else adj[j] + g
 
-        for i in range(len(self.nodes) - 1, -1, -1):
-            visits += 1
+        # only live nodes receive adjoints, and a live unary node has a live
+        # operand, so only the binary ops check their operands
+        for i in range(len(nodes) - 1, -1, -1):
             g = adj[i]
             if g is None:
                 continue
-            node = self.nodes[i]
+            node = nodes[i]
             op = node.op
             if op == "param":
                 start, _shape, size = node.payload
                 grad[start : start + size] += np.asarray(g, dtype=float).ravel()
-            elif op == "const":
-                pass
             elif op == "add":
-                acc(node.a, _unbroadcast(g, vals[node.a].shape))
-                acc(node.b, _unbroadcast(g, vals[node.b].shape))
+                if nodes[node.a].live:
+                    acc(node.a, _unbroadcast(g, vals[node.a].shape))
+                if nodes[node.b].live:
+                    acc(node.b, _unbroadcast(g, vals[node.b].shape))
             elif op == "sub":
-                acc(node.a, _unbroadcast(g, vals[node.a].shape))
-                acc(node.b, -_unbroadcast(g, vals[node.b].shape))
+                if nodes[node.a].live:
+                    acc(node.a, _unbroadcast(g, vals[node.a].shape))
+                if nodes[node.b].live:
+                    acc(node.b, -_unbroadcast(g, vals[node.b].shape))
             elif op == "mul":
-                acc(node.a, _unbroadcast(g * vals[node.b], vals[node.a].shape))
-                acc(node.b, _unbroadcast(g * vals[node.a], vals[node.b].shape))
+                if nodes[node.a].live:
+                    acc(node.a, _unbroadcast(g * vals[node.b], vals[node.a].shape))
+                if nodes[node.b].live:
+                    acc(node.b, _unbroadcast(g * vals[node.a], vals[node.b].shape))
             elif op == "neg":
                 acc(node.a, -g)
             elif op == "matmul":
                 va, vb = vals[node.a], vals[node.b]
-                if va.ndim == 2 and vb.ndim == 2:
-                    acc(node.a, g @ vb.T)
-                    acc(node.b, va.T @ g)
-                elif va.ndim == 1 and vb.ndim == 2:
-                    acc(node.a, vb @ g)
-                    acc(node.b, np.outer(va, g))
-                elif va.ndim == 2 and vb.ndim == 1:
-                    acc(node.a, np.outer(g, vb))
-                    acc(node.b, va.T @ g)
-                else:
-                    acc(node.a, g * vb)
-                    acc(node.b, g * va)
+                if nodes[node.a].live:
+                    if vb.ndim == 1:
+                        acc(node.a, np.outer(g, vb) if va.ndim == 2 else g * vb)
+                    else:
+                        acc(node.a, g @ vb.T if va.ndim == 2 else vb @ g)
+                if nodes[node.b].live:
+                    if va.ndim == 2:
+                        acc(node.b, va.T @ g)
+                    else:
+                        acc(node.b, np.outer(va, g) if vb.ndim == 2 else g * va)
             elif op == "relu":
-                va = vals[node.a]
-                acc(node.a, g * (va > 0.0))
+                acc(node.a, g * (vals[node.a] > 0.0))
             elif op == "exp":
                 acc(node.a, g * vals[i])
             elif op == "log":
@@ -318,7 +355,7 @@ class Tape:
                 acc(node.a, ga)
             elif op == "reshape":
                 acc(node.a, np.asarray(g).reshape(vals[node.a].shape))
-        self.last_backward_visits = visits
+        self.last_backward_visits = len(nodes)
         return grad
 
     def jvp(self, w, dw):
@@ -329,7 +366,8 @@ class Tape:
         inactive-at-0 conventions as ``backward`` apply. Primal values
         come from the forward cache, which is refreshed only when it does
         not hold ``w``, so repeated calls at one point propagate tangents
-        alone.
+        alone. Nodes that depend on no parameter carry no tangent (None)
+        rather than zeros.
         """
         w = np.asarray(w, dtype=float)
         dw = np.asarray(dw, dtype=float)
@@ -341,50 +379,62 @@ class Tape:
         vals = self._values_at(w)
         tans: list = []
         for i, node in enumerate(self.nodes):
+            if not node.live:
+                tans.append(None)
+                continue
             op = node.op
+            ta = tans[node.a] if node.a >= 0 else None
+            tb = tans[node.b] if node.b >= 0 else None
             if op == "param":
                 start, shape, size = node.payload
                 t = dw[start : start + size].reshape(shape)
-            elif op == "const":
-                t = np.zeros_like(node.payload)
-            elif op == "add":
-                t = tans[node.a] + tans[node.b]
-            elif op == "sub":
-                t = tans[node.a] - tans[node.b]
-            elif op == "mul":
-                t = tans[node.a] * vals[node.b] + vals[node.a] * tans[node.b]
+            elif op in ("add", "sub"):
+                if tb is None:
+                    t = ta
+                elif ta is None:
+                    t = tb if op == "add" else -tb
+                else:
+                    t = ta + tb if op == "add" else ta - tb
+                if t.shape != vals[i].shape:  # a broadcast operand was constant
+                    t = np.broadcast_to(t, vals[i].shape)
+            elif op in ("mul", "matmul"):
+                product = np.multiply if op == "mul" else np.matmul
+                if tb is None:
+                    t = product(ta, vals[node.b])
+                elif ta is None:
+                    t = product(vals[node.a], tb)
+                else:
+                    t = product(ta, vals[node.b]) + product(vals[node.a], tb)
             elif op == "neg":
-                t = -tans[node.a]
-            elif op == "matmul":
-                t = tans[node.a] @ vals[node.b] + vals[node.a] @ tans[node.b]
+                t = -ta
             elif op == "relu":
-                t = tans[node.a] * (vals[node.a] > 0.0)
+                t = ta * (vals[node.a] > 0.0)
             elif op == "exp":
-                t = tans[node.a] * vals[i]
+                t = ta * vals[i]
             elif op == "log":
-                t = tans[node.a] / vals[node.a]
+                t = ta / vals[node.a]
             elif op == "max":
                 va = vals[node.a]
                 if va.ndim <= 1:
-                    t = tans[node.a][..., int(np.argmax(va))]
+                    t = ta[..., int(np.argmax(va))]
                 else:
-                    t = tans[node.a][np.arange(va.shape[0]), np.argmax(va, axis=-1)]
+                    t = ta[np.arange(va.shape[0]), np.argmax(va, axis=-1)]
             elif op == "rowsum":
-                t = np.sum(tans[node.a], axis=-1)
+                t = np.sum(ta, axis=-1)
             elif op == "total":
-                t = np.sum(tans[node.a])
+                t = np.sum(ta)
             elif op == "select":
-                ta = tans[node.a]
                 if vals[node.a].ndim <= 1:
                     t = ta[int(node.payload)]
                 else:
                     t = ta[np.arange(ta.shape[0]), node.payload]
             elif op == "reshape":
-                t = tans[node.a].reshape(node.payload)
+                t = ta.reshape(node.payload)
             else:  # pragma: no cover
                 raise ValueError(f"unknown op {op!r}")
             tans.append(np.asarray(t, dtype=float))
-        return vals[-1], tans[-1]
+        out = tans[-1]
+        return vals[-1], np.zeros_like(vals[-1]) if out is None else out
 
     def _values_at(self, w):
         # the forward cache at ``w``, recomputed only when it holds another point

@@ -46,6 +46,10 @@ DIRECTION_MODES = ("auto",) + losses.MODES
 # stream tags keeping the shuffle order independent from weight init
 _SHUFFLE_STREAM = 7
 
+# evaluate scores a split in chunks of this many rows, so its memory and
+# matmul sizes stay those of a few training batches whatever the split size
+EVAL_CHUNK_ROWS = 512
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -54,8 +58,8 @@ class RunConfig:
     dataset: SplitDataset
     optimizer: str = "dfw"
     eta: float = 0.1
-    momentum: float = 0.9
-    l2: float = 1e-4
+    momentum: float = optimizers.DEFAULT_MOMENTUM
+    l2: float = optimizers.DEFAULT_L2
     batch_size: int = 64
     epochs: int = 20
     seed: int = 0
@@ -77,7 +81,7 @@ class RunConfig:
             return ()
         if self.lr_schedule in ("none", None):
             return ()
-        return tuple((int(e), float(m)) for e, m in self.lr_schedule)
+        return optimizers.checked_schedule(self.lr_schedule)
 
 
 @dataclass
@@ -120,6 +124,8 @@ def _validate(config: RunConfig):
             raise ValueError(f"the {name} split is empty")
     if config.direction_mode not in DIRECTION_MODES:
         raise ValueError(f"bad direction mode {config.direction_mode!r}")
+    # dfw has no schedule, but a bad one is still a bad setting
+    config.resolved_schedule()
 
 
 def _build_model(config: RunConfig) -> models.ModelSpec:
@@ -134,7 +140,15 @@ def _build_model(config: RunConfig) -> models.ModelSpec:
 
 def evaluate(model, w, data, loss: str = "svm"):
     """Mean loss and accuracy of ``w`` on a :class:`~proxfw.data.Dataset`."""
-    F, _ = model.batch_scores(w, data.X)
+    X = data.X
+    if len(X) == 0:
+        raise ValueError("cannot evaluate on an empty split")
+    F = np.concatenate(
+        [
+            model.batch_scores(w, X[start : start + EVAL_CHUNK_ROWS])[0]
+            for start in range(0, len(X), EVAL_CHUNK_ROWS)
+        ]
+    )
     pred = np.argmax(F, axis=1)
     acc = float((pred == data.y).mean())
     if loss == "ce":

@@ -5,6 +5,12 @@ vector of class scores, and exposes the computation as a tape so callers
 can append a scalar head (a loss, or a weighted combination of scores)
 and differentiate through it.
 
+Each model records its score program once, on first use, with the input
+as a tape input slot. Every ``scores`` or ``batch_scores`` call replays
+that program on a new tape with the slot bound to the call's input, so a
+call costs a list copy and a forward pass, never a rebuild, and a head
+appended to one call's tape never reaches another call's.
+
 Parameter layout is fixed and documented: layers in input-to-output
 order, each layer storing its weight matrix ``(fan_in, fan_out)`` in
 C order followed by its bias vector. Biases are flagged by
@@ -14,6 +20,7 @@ C order followed by its bias vector. Biases are flagged by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,7 +88,11 @@ class ModelSpec:
         return n
 
     def weight_mask(self) -> np.ndarray:
-        """Boolean vector, True on weight slots, False on bias slots."""
+        """Read-only boolean vector, True on weight slots, False on bias slots."""
+        return self._weight_mask
+
+    @cached_property
+    def _weight_mask(self) -> np.ndarray:
         mask = np.ones(self.param_count, dtype=bool)
         offset = 0
         for fan_in, fan_out in self.layer_dims():
@@ -89,6 +100,7 @@ class ModelSpec:
             if self.bias:
                 mask[offset : offset + fan_out] = False
                 offset += fan_out
+        mask.flags.writeable = False
         return mask
 
     def init_params(self, seed: int) -> np.ndarray:
@@ -101,6 +113,10 @@ class ModelSpec:
             if self.bias:
                 parts.append(np.zeros(fan_out))
         return np.concatenate(parts)
+
+    @cached_property
+    def _program(self) -> Tape:
+        return _record(self)
 
     def _build(self, tape: Tape, x_ref: Ref) -> Ref:
         out = x_ref
@@ -127,20 +143,14 @@ class ModelSpec:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.input_dim,):
             raise ValueError(f"expected input of shape ({self.input_dim},), got {x.shape}")
-        return self._run(w, x)
+        return _replay(self, w, x)
 
     def batch_scores(self, w, X):
         """Scores for a batch, shape (n, num_classes). Returns ``(values, ref)``."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected inputs of shape (n, {self.input_dim}), got {X.shape}")
-        return self._run(w, X)
-
-    def _run(self, w, X):
-        # one program for both input shapes: a 1-D input yields 1-D scores
-        tape = Tape(self.param_count)
-        ref = self._build(tape, tape.constant(X))
-        return tape.forward(w), ref
+        return _replay(self, w, X)
 
 
 @dataclass(frozen=True)
@@ -160,7 +170,7 @@ class ToyBinaryModel:
         return 1
 
     def weight_mask(self) -> np.ndarray:
-        return np.ones(1, dtype=bool)
+        return _TOY_MASK
 
     def init_params(self, seed: int) -> np.ndarray:
         return np.zeros(1)
@@ -174,11 +184,35 @@ class ToyBinaryModel:
     def batch_scores(self, w, X):
         return self._run(w, np.asarray(X, dtype=float).reshape(-1, 1))
 
+    @cached_property
+    def _program(self) -> Tape:
+        return _record(self)
+
+    def _build(self, tape: Tape, x_ref: Ref) -> Ref:
+        return tape.param(0) * x_ref
+
     def _run(self, w, X):
         # feature column(s) X of shape (1,) or (n, 1); the second score is 0
-        tape = Tape(1)
-        ref = tape.param(0) * tape.constant(np.concatenate([X, np.zeros_like(X)], axis=-1))
-        return tape.forward(w), ref
+        return _replay(self, w, np.concatenate([X, np.zeros_like(X)], axis=-1))
+
+
+_TOY_MASK = np.ones(1, dtype=bool)
+_TOY_MASK.flags.writeable = False
+
+
+def _replay(model, w, X):
+    """``(scores, ref)`` of ``model`` on ``X``; ``ref`` is the scores node of
+    a new tape that replays the model's recorded program, ready for a
+    scalar head."""
+    tape = model._program.replay(X)
+    return tape.forward(w), tape.output
+
+
+def _record(model) -> Tape:
+    # the score program, with the input as the tape's input slot
+    tape = Tape(model.param_count)
+    model._build(tape, tape.input())
+    return tape
 
 
 def batch_arrays(batch):

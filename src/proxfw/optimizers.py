@@ -39,6 +39,10 @@ __all__ = [
 BASELINE_KINDS = ("sgd", "adagrad", "adam", "amsgrad")
 LOSSES = ("svm", "ce")
 
+# Nesterov velocity coefficient and weight decay unless a run sets them
+DEFAULT_MOMENTUM = 0.9
+DEFAULT_L2 = 1e-4
+
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -62,8 +66,8 @@ class DFWState:
 
     w: np.ndarray
     eta: float
-    momentum: float = 0.9
-    l2: float = 1e-4
+    momentum: float = DEFAULT_MOMENTUM
+    l2: float = DEFAULT_L2
     mode: str = "smoothed"
     velocity: np.ndarray | None = None
     step_count: int = 0
@@ -127,8 +131,8 @@ class BaselineState:
     kind: str
     w: np.ndarray
     lr: float
-    momentum: float = 0.9
-    l2: float = 1e-4
+    momentum: float = DEFAULT_MOMENTUM
+    l2: float = DEFAULT_L2
     loss: str = "svm"
     schedule: tuple = ()
     epoch: int = 0
@@ -146,9 +150,7 @@ class BaselineState:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         self.w = np.asarray(self.w, dtype=float)
         _check_hyperparameters("lr", self.lr, self.momentum, self.l2)
-        self.schedule = tuple((int(e), float(m)) for e, m in self.schedule)
-        for _, mult in self.schedule:
-            positive("lr schedule multiplier", mult)
+        self.schedule = checked_schedule(self.schedule)
         if self.velocity is None:
             self.velocity = np.zeros_like(self.w)
         if self.kind == "adagrad" and self.accum is None:
@@ -169,6 +171,15 @@ def effective_lr(state: BaselineState) -> float:
         if state.epoch >= epoch:
             lr *= mult
     return lr
+
+
+def checked_schedule(schedule) -> tuple:
+    """``schedule`` as ``(int epoch, float multiplier)`` pairs, every
+    multiplier finite and positive."""
+    pairs = tuple((int(e), float(m)) for e, m in schedule)
+    for _, mult in pairs:
+        positive("lr schedule multiplier", mult)
+    return pairs
 
 
 def default_lr_schedule(epochs: int) -> tuple:

@@ -14,6 +14,7 @@ the dual objective), never through alpha itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,8 +102,13 @@ def optimal_step_size(state: ProximalState, vertex: DualVertex) -> float:
     denom = float(gap_dir @ gap_dir)
     if denom < DEGENERATE_DENOM:
         return 0.0
-    num = float(gap_dir @ moved) + state.eta * (vertex.lam - state.lam)
-    return float(np.clip(num / denom, 0.0, 1.0))
+    dlam = vertex.lam - state.lam
+    num = float(gap_dir @ moved) + state.eta * dlam
+    if math.isfinite(num) and math.isfinite(denom):
+        ratio = num / denom
+    else:
+        ratio = _rescaled_ratio(moved, gap_dir, dlam, state.eta)
+    return float(np.clip(ratio, 0.0, 1.0))
 
 
 def single_step_size(r, delta, loss_term: float, eta: float) -> float:
@@ -119,7 +125,27 @@ def single_step_size(r, delta, loss_term: float, eta: float) -> float:
     if sq < DEGENERATE_DENOM:
         return 0.0
     num = -eta * float(delta @ r) + float(loss_term)
-    return float(np.clip(num / (eta * sq), 0.0, 1.0))
+    denom = eta * sq
+    if math.isfinite(num) and math.isfinite(denom):
+        ratio = num / denom
+    else:
+        ratio = _rescaled_ratio(-r, delta, float(loss_term), 1.0 / eta)
+    return float(np.clip(ratio, 0.0, 1.0))
+
+
+def _rescaled_ratio(x, y, c, k) -> float:
+    """``(x'y + c k) / (y'y)`` for a nonzero ``y`` whose plain products overflow.
+
+    Both vectors are first divided by their largest absolute entry, so
+    neither dot product can overflow and ``y'y`` is at least 1. The scales
+    come back in as ratios; a term too large for a float becomes a signed
+    infinity, which the callers' clip maps to 0 or 1.
+    """
+    a = float(np.max(np.abs(x))) or 1.0
+    b = float(np.max(np.abs(y)))
+    xs, ys = x / a, y / b
+    with np.errstate(over="ignore"):
+        return float((float(xs @ ys) * a / b + c / b * k / b) / float(ys @ ys))
 
 
 def _direction_terms(w, batch, model, l2: float, mode: str):

@@ -135,12 +135,15 @@ def test_jvp_matches_gradient_on_smooth_tape():
     assert np.isclose(float(val), float(forward_eval(tape, w)))
 
 
-def every_op_tape(X):
-    # one node of every primitive; relu zeros in X @ W give max ties
-    tape = Tape(12)
+def every_op_tape(X, x_as_param=False):
+    # one node of every primitive; relu zeros in X @ W give max ties.
+    # With x_as_param, X is read from parameter slots 12 onward instead of
+    # a constant, so every sweep runs in full through X @ W.
+    tape = Tape(12 + X.size if x_as_param else 12)
     W = tape.param(0, (3, 2))
     v = tape.param(8, (4,))
-    H = (tape.constant(X) @ W + tape.param(6, (2,))).relu()
+    Xref = tape.param(12, X.shape) if x_as_param else tape.constant(X)
+    H = (Xref @ W + tape.param(6, (2,))).relu()
     S = H - (-H).exp() * 0.5
     rows = S.max() + S.select(np.arange(X.shape[0]) % 2) + (S * S).rowsum()
     V = v.reshape((2, 2))
@@ -163,6 +166,42 @@ def test_jvp_reuses_the_forward_cache_bitwise():
         assert v.tobytes() == val.tobytes() and t.tobytes() == tan.tobytes()
     # the stale cache was refreshed to w, so backward sees the same point
     assert stale.backward().tobytes() == cached.backward().tobytes()
+
+
+def test_sweeps_that_skip_constants_match_full_sweeps_bitwise():
+    # a constant depends on no parameter, so backward computes no adjoint
+    # for it and jvp carries no tangent through it; the results must be
+    # those of the sweep that treats X as parameters with a zero tangent
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(6, 3))
+    w = rng.normal(size=12)
+    dw = rng.normal(size=12)
+    pruned = every_op_tape(X)
+    full = every_op_tape(X, x_as_param=True)
+    w_full = np.concatenate([w, X.ravel()])
+    dw_full = np.concatenate([dw, np.zeros(X.size)])
+    for tape, point in ((pruned, w), (full, w_full)):
+        tape.forward(point)
+    g = pruned.backward()
+    assert g.tobytes() == full.backward()[:12].tobytes()
+    assert pruned.last_backward_visits == len(pruned)
+    val, tan = pruned.jvp(w, dw)
+    val_full, tan_full = full.jvp(w_full, dw_full)
+    assert val.tobytes() == val_full.tobytes() and tan.tobytes() == tan_full.tobytes()
+
+
+def test_replay_binds_the_input_slot_on_a_new_tape():
+    program = Tape(2)
+    _ = program.input() @ program.param(0, (2,))
+    with pytest.raises(ValueError, match="unbound"):
+        program.forward(np.ones(2))
+    w = np.array([1.0, 2.0])
+    first = program.replay(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    second = program.replay(np.array([3.0, 4.0]))
+    assert np.array_equal(first.forward(w), [1.0, 2.0])
+    assert second.forward(w) == 11.0
+    assert np.array_equal(first.backward(seed=np.ones(2)), [1.0, 1.0])
+    assert len(program) == len(first) == len(second) == 3
 
 
 def test_jvp_linearizes_batch_scores():

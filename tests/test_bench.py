@@ -8,16 +8,20 @@ import pytest
 
 import proxfw.optimizers as optimizers
 from proxfw.bench import (
+    EVAL_CHUNK_ROWS,
     METRICS_HEADER,
     SWEEP_HEADER,
     EpochMetrics,
     RunConfig,
     emit_metrics,
     emit_sweep,
+    evaluate,
     run_training,
     sensitivity_sweep,
 )
 from proxfw.data import Dataset, SplitDataset, generate_synthetic
+from proxfw.losses import cross_entropy_batch, hinge_loss_batch
+from proxfw.models import ModelSpec
 
 
 def small_blobs(noise=1.0, num_classes=4, seed=0):
@@ -195,6 +199,26 @@ def test_run_config_validation():
         run_training(RunConfig(dataset=no_train))
     rows = sensitivity_sweep(RunConfig(dataset=data, epochs=1), [float("nan")])
     assert rows[0].status == "error"
+    for optimizer in ("dfw", "sgd"):
+        config = RunConfig(dataset=data, optimizer=optimizer, lr_schedule=((1, float("nan")),))
+        with pytest.raises(ValueError, match="lr schedule multiplier must be finite and positive"):
+            run_training(config)
+
+
+@pytest.mark.parametrize("loss", ["svm", "ce"])
+def test_chunked_evaluate_matches_one_forward_pass(loss):
+    # 1300 rows: more than one chunk, and not a multiple of the chunk size
+    assert 1300 > EVAL_CHUNK_ROWS and 1300 % EVAL_CHUNK_ROWS
+    data = generate_synthetic("blobs", 1300, 0, 0, d=6, num_classes=5, noise=1.0, seed=2).train
+    model = ModelSpec("mlp", 6, 5, (12,))
+    w = model.init_params(4)
+    F, _ = model.batch_scores(w, data.X)
+    per_row = cross_entropy_batch if loss == "ce" else hinge_loss_batch
+    value, acc = evaluate(model, w, data, loss)
+    assert abs(value - per_row(F, data.y).mean()) <= 1e-12
+    assert acc == (F.argmax(axis=1) == data.y).mean()
+    with pytest.raises(ValueError, match="empty split"):
+        evaluate(model, w, Dataset(np.zeros((0, 6)), np.zeros(0, dtype=int)), loss)
 
 
 def test_direction_mode_resolution():

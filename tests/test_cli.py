@@ -137,6 +137,17 @@ def test_non_finite_noise_is_rejected_not_diverged(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("optimizer", ["dfw", "sgd"])
+def test_non_finite_schedule_is_rejected_for_every_optimizer(optimizer, tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    code = main(["train", "--dataset", "blobs", *BASE, "--optimizer", optimizer,
+                 "--lr-schedule", "1:nan", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: lr schedule multiplier must be finite and positive")
+    assert not out.exists()
+
+
 def test_every_run_config_field_has_a_flag_with_its_default():
     parser = argparse.ArgumentParser()
     _add_common(parser)

@@ -64,6 +64,14 @@ def test_weight_mask_marks_biases():
     assert no_bias.weight_mask().all()
 
 
+@pytest.mark.parametrize("model", [ModelSpec("mlp", 3, 2, (4,)), ToyBinaryModel()])
+def test_weight_mask_is_computed_once_and_read_only(model):
+    mask = model.weight_mask()
+    assert model.weight_mask() is mask
+    with pytest.raises(ValueError, match="read-only"):
+        mask[0] = False
+
+
 def test_bias_free_linear_scores_are_homogeneous():
     spec = ModelSpec("linear", input_dim=4, num_classes=3, bias=False)
     rng = np.random.default_rng(5)
@@ -119,3 +127,40 @@ def test_batch_arrays_forms():
     assert X.shape == (3, 2)
     with pytest.raises(ValueError, match="empty"):
         batch_arrays([])
+
+
+def test_head_on_one_call_stays_off_the_next_calls_tape():
+    spec = ModelSpec("mlp", input_dim=3, num_classes=4, hidden_dims=(5,))
+    rng = np.random.default_rng(2)
+    w = rng.normal(size=spec.param_count)
+    _, first = spec.batch_scores(w, rng.normal(size=(6, 3)))
+    program_length = len(first.tape)
+    head = (first * first).total()
+    assert len(head.tape) > program_length
+    _, second = spec.batch_scores(w, rng.normal(size=(2, 3)))
+    assert second.tape is not first.tape
+    assert len(second.tape) == program_length
+    assert second.index == program_length - 1
+
+
+def test_interleaved_batch_score_tapes_backpropagate_independently():
+    spec = ModelSpec("mlp", input_dim=3, num_classes=4, hidden_dims=(5, 6))
+    rng = np.random.default_rng(4)
+    calls = [
+        (rng.normal(size=spec.param_count), rng.normal(size=(n, 3)), rng.normal(size=(n, 4)))
+        for n in (7, 3)
+    ]
+
+    def gradient(w, X, seed):
+        _, ref = spec.batch_scores(w, X)
+        return ref.tape.backward(seed=seed, at=ref)
+
+    alone = [gradient(*call) for call in calls]
+    refs = [spec.batch_scores(w, X)[1] for w, X, _ in calls]
+    # a head on the first tape (which clears its forward cache) leaves the
+    # second alone
+    head = (refs[0] * calls[0][2]).total()
+    head.tape.forward(calls[0][0])
+    for i in (1, 0, 1, 0):
+        got = head.tape.backward() if i == 0 else refs[1].tape.backward(calls[1][2], refs[1])
+        assert got.tobytes() == alone[i].tobytes()
