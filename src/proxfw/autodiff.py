@@ -19,6 +19,8 @@ the rest: ``backward`` computes no adjoint into a node that depends on
 no parameter (the input matrix of a first layer, say), and ``jvp``
 carries no zero tangents through such nodes. Parameter gradients and
 output tangents are computed by the same operations as a full sweep.
+Each relu's derivative mask is computed once per forward cache and
+shared by every later ``backward`` and ``jvp`` at that point.
 
 Supported primitives: parameter views, constants, input slots, add, sub,
 mul, neg, matmul, relu, exp, log, max (last-axis reduction), rowsum,
@@ -37,6 +39,8 @@ __all__ = ["Tape", "Ref", "forward_eval", "backward_grad", "fd_gradient_oracle"]
 
 def _unbroadcast(grad, shape):
     # sum an upstream adjoint down to `shape`, undoing numpy broadcasting
+    if grad.shape == shape:
+        return grad
     grad = np.asarray(grad, dtype=float)
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
@@ -44,6 +48,12 @@ def _unbroadcast(grad, shape):
         if n == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+def _as_value(v):
+    # every node value is float64: an array unless a reduction or an op on
+    # 0-d operands returned a numpy scalar
+    return v if type(v) is np.ndarray else np.asarray(v, dtype=float)
 
 
 class _Node:
@@ -141,6 +151,7 @@ class Tape:
         self.bound_input = None
         self._values = None
         self._w = None
+        self._relu_masks = {}
         self.last_backward_visits = 0
 
     def __len__(self):
@@ -244,8 +255,9 @@ class Tape:
                 v = vals[node.a].reshape(node.payload)
             else:  # pragma: no cover
                 raise ValueError(f"unknown op {op!r}")
-            vals.append(np.asarray(v, dtype=float))
+            vals.append(_as_value(v))
         self._values = vals
+        self._relu_masks = {}
         self._w = w.copy()
         return vals[-1] if vals else np.float64(0.0)
 
@@ -293,7 +305,7 @@ class Tape:
             op = node.op
             if op == "param":
                 start, _shape, size = node.payload
-                grad[start : start + size] += np.asarray(g, dtype=float).ravel()
+                grad[start : start + size] += g.ravel()
             elif op == "add":
                 if nodes[node.a].live:
                     acc(node.a, _unbroadcast(g, vals[node.a].shape))
@@ -324,7 +336,7 @@ class Tape:
                     else:
                         acc(node.b, np.outer(va, g) if vb.ndim == 2 else g * va)
             elif op == "relu":
-                acc(node.a, g * (vals[node.a] > 0.0))
+                acc(node.a, g * self._relu_mask(i, node.a))
             elif op == "exp":
                 acc(node.a, g * vals[i])
             elif op == "log":
@@ -408,7 +420,7 @@ class Tape:
             elif op == "neg":
                 t = -ta
             elif op == "relu":
-                t = ta * (vals[node.a] > 0.0)
+                t = ta * self._relu_mask(i, node.a)
             elif op == "exp":
                 t = ta * vals[i]
             elif op == "log":
@@ -432,15 +444,24 @@ class Tape:
                 t = ta.reshape(node.payload)
             else:  # pragma: no cover
                 raise ValueError(f"unknown op {op!r}")
-            tans.append(np.asarray(t, dtype=float))
+            tans.append(_as_value(t))
         out = tans[-1]
         return vals[-1], np.zeros_like(vals[-1]) if out is None else out
 
     def _values_at(self, w):
-        # the forward cache at ``w``, recomputed only when it holds another point
-        if self._values is None or not np.array_equal(self._w, w):
+        # the forward cache at the float vector ``w``, recomputed only when it
+        # holds another point
+        cached = self._w
+        if self._values is None or cached.shape != w.shape or not (cached == w).all():
             self.forward(w)
         return self._values
+
+    def _relu_mask(self, i, operand):
+        # derivative of relu node i at the cached point, computed once per forward
+        mask = self._relu_masks.get(i)
+        if mask is None:
+            mask = self._relu_masks[i] = self._values[operand] > 0.0
+        return mask
 
 
 def forward_eval(tape: Tape, w):
@@ -454,7 +475,7 @@ def backward_grad(tape: Tape, w):
     Reuses the forward cache when it matches ``w``, otherwise re-runs the
     forward pass first. Rejects tapes whose output is not a scalar.
     """
-    if tape._values_at(w)[-1].size != 1:
+    if tape._values_at(np.asarray(w, dtype=float))[-1].size != 1:
         raise ValueError("backward_grad needs a scalar output; add a scalar head first")
     return tape.backward()
 

@@ -30,6 +30,7 @@ __all__ = [
     "SweepRow",
     "METRICS_HEADER",
     "SWEEP_HEADER",
+    "parse_schedule",
     "run_training",
     "sensitivity_sweep",
     "emit_metrics",
@@ -75,13 +76,37 @@ class RunConfig:
         return self.direction_mode
 
     def resolved_schedule(self) -> tuple:
-        if self.lr_schedule == "auto":
+        schedule = self.lr_schedule
+        if isinstance(schedule, str):
+            schedule = parse_schedule(schedule)
+        if schedule == "auto":
             if self.optimizer == "sgd":
                 return optimizers.default_lr_schedule(self.epochs)
             return ()
-        if self.lr_schedule in ("none", None):
+        if schedule in ("none", None):
             return ()
-        return optimizers.checked_schedule(self.lr_schedule)
+        return optimizers.checked_schedule(schedule)
+
+
+def parse_schedule(text: str):
+    """An lr schedule written as ``"auto"``, ``"none"`` or
+    ``"epoch:mult,epoch:mult,..."``: the keyword, or the ``(epoch,
+    multiplier)`` pairs. The multipliers are checked when the schedule is
+    resolved."""
+    if text in ("auto", "none"):
+        return text
+    pairs = []
+    for chunk in text.split(","):
+        epoch, sep, mult = chunk.partition(":")
+        try:
+            if not sep:
+                raise ValueError
+            pairs.append((int(epoch), float(mult)))
+        except ValueError:
+            raise ValueError(
+                f"bad lr schedule entry {chunk!r} in {text!r}; expected epoch:multiplier"
+            ) from None
+    return tuple(pairs)
 
 
 @dataclass

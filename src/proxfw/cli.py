@@ -17,20 +17,10 @@ from .bench import RunConfig
 
 
 def _parse_schedule(text: str):
-    if text in ("auto", "none"):
-        return text
-    pairs = []
-    for chunk in text.split(","):
-        epoch, _, mult = chunk.partition(":")
-        if not _:
-            raise argparse.ArgumentTypeError(
-                f"bad schedule entry {chunk!r}; expected epoch:multiplier"
-            )
-        try:
-            pairs.append((int(epoch), float(mult)))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad schedule entry {chunk!r}") from None
-    return tuple(pairs)
+    try:
+        return bench.parse_schedule(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_hidden(text: str):

@@ -159,7 +159,7 @@ def dual_direction_batch(augF, F, mode: str):
     vertices = conditional_vertex_batch(augF)
     if mode == "conditional":
         return vertices, 0
-    P = softmax_batch(np.asarray(F, dtype=float))
+    P = softmax_batch(F)
     keep = (P * augF).sum(axis=1) > 0.0
     S = np.where(keep[:, None], P, vertices)
-    return S, int((~keep).sum())
+    return S, keep.size - int(np.count_nonzero(keep))

@@ -5,8 +5,9 @@ vector of class scores, and exposes the computation as a tape so callers
 can append a scalar head (a loss, or a weighted combination of scores)
 and differentiate through it.
 
-Each model records its score program once, on first use, with the input
-as a tape input slot. Every ``scores`` or ``batch_scores`` call replays
+Each architecture records its score program once, on first use, with
+the input as a tape input slot; equal specs share that program and their
+weight mask. Every ``scores`` or ``batch_scores`` call replays
 that program on a new tape with the slot bound to the call's input, so a
 call costs a list copy and a forward pass, never a rebuild, and a head
 appended to one call's tape never reaches another call's.
@@ -20,7 +21,7 @@ C order followed by its bias vector. Biases are flagged by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -93,15 +94,7 @@ class ModelSpec:
 
     @cached_property
     def _weight_mask(self) -> np.ndarray:
-        mask = np.ones(self.param_count, dtype=bool)
-        offset = 0
-        for fan_in, fan_out in self.layer_dims():
-            offset += fan_in * fan_out
-            if self.bias:
-                mask[offset : offset + fan_out] = False
-                offset += fan_out
-        mask.flags.writeable = False
-        return mask
+        return _mask_of(self)
 
     def init_params(self, seed: int) -> np.ndarray:
         """Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) weights, zero biases."""
@@ -116,7 +109,7 @@ class ModelSpec:
 
     @cached_property
     def _program(self) -> Tape:
-        return _record(self)
+        return _program_of(self)
 
     def _build(self, tape: Tape, x_ref: Ref) -> Ref:
         out = x_ref
@@ -186,7 +179,7 @@ class ToyBinaryModel:
 
     @cached_property
     def _program(self) -> Tape:
-        return _record(self)
+        return _program_of(self)
 
     def _build(self, tape: Tape, x_ref: Ref) -> Ref:
         return tape.param(0) * x_ref
@@ -206,6 +199,25 @@ def _replay(model, w, X):
     scalar head."""
     tape = model._program.replay(X)
     return tape.forward(w), tape.output
+
+
+@lru_cache(maxsize=32)
+def _program_of(model) -> Tape:
+    # one recorded program per architecture, keyed on the frozen spec
+    return _record(model)
+
+
+@lru_cache(maxsize=32)
+def _mask_of(spec: ModelSpec) -> np.ndarray:
+    mask = np.ones(spec.param_count, dtype=bool)
+    offset = 0
+    for fan_in, fan_out in spec.layer_dims():
+        offset += fan_in * fan_out
+        if spec.bias:
+            mask[offset : offset + fan_out] = False
+            offset += fan_out
+    mask.flags.writeable = False
+    return mask
 
 
 def _record(model) -> Tape:

@@ -15,11 +15,11 @@ Baselines report no step size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import nonnegative, positive
+from ._checks import nonnegative, positive, unchecked
 from .losses import _check_mode, cross_entropy_batch, one_hot, softmax_batch
 from .models import batch_arrays
 from .proximal import _direction_terms, single_step_size
@@ -93,11 +93,19 @@ class StepDiagnostics:
     batch_size: int
 
 
+def _advanced(state, **changes):
+    """``state`` with ``changes`` applied and its step counted; the fields a
+    step computes are not checked again."""
+    return unchecked(
+        type(state), {**vars(state), **changes, "step_count": state.step_count + 1}
+    )
+
+
 def _nesterov(state, velocity_step, w_step):
     """Nesterov momentum update, shared by dfw and sgd; counts the step."""
     velocity = state.momentum * state.velocity - velocity_step
     w = state.w - w_step + state.momentum * velocity
-    return replace(state, w=w, velocity=velocity, step_count=state.step_count + 1)
+    return _advanced(state, w=w, velocity=velocity)
 
 
 def dfw_step(state: DFWState, batch, model):
@@ -203,7 +211,7 @@ def _objective_gradient(w, batch, model, l2: float, loss: str):
         seed = (softmax_batch(F) - one_hot(y, F.shape[1])) / n
         g_loss = ref.tape.backward(seed=seed, at=ref)
         r = l2 * np.asarray(w, dtype=float) * model.weight_mask()
-        return r + g_loss, float(cross_entropy_batch(F, y).mean()), n
+        return r + g_loss, float(cross_entropy_batch(F, y).sum() / n), n
     raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
 
 
@@ -229,7 +237,7 @@ def adaptive_baseline_step(state: BaselineState, batch, model):
     if state.kind == "adagrad":
         accum = state.accum + g * g
         w = state.w - lr * g / np.sqrt(accum + ADAGRAD_EPS)
-        new_state = replace(state, w=w, accum=accum, step_count=t)
+        new_state = _advanced(state, w=w, accum=accum)
     else:
         m1 = ADAM_BETA1 * state.m1 + (1.0 - ADAM_BETA1) * g
         m2 = ADAM_BETA2 * state.m2 + (1.0 - ADAM_BETA2) * (g * g)
@@ -237,12 +245,12 @@ def adaptive_baseline_step(state: BaselineState, batch, model):
             m1_hat = m1 / (1.0 - ADAM_BETA1**t)
             m2_hat = m2 / (1.0 - ADAM_BETA2**t)
             w = state.w - lr * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
-            new_state = replace(state, w=w, m1=m1, m2=m2, step_count=t)
+            new_state = _advanced(state, w=w, m1=m1, m2=m2)
         else:
             # keeps the largest second moment seen, no bias correction
             m2_max = np.maximum(state.m2_max, m2)
             w = state.w - lr * m1 / (np.sqrt(m2_max) + ADAM_EPS)
-            new_state = replace(state, w=w, m1=m1, m2=m2, m2_max=m2_max, step_count=t)
+            new_state = _advanced(state, w=w, m1=m1, m2=m2, m2_max=m2_max)
     return new_state, StepDiagnostics(
         step_size=None, mean_loss=mean_loss, switched=0, batch_size=n
     )

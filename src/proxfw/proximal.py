@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import nonnegative, positive
+from ._checks import nonnegative, positive, unchecked
 from .losses import (
     augmented_scores_batch,
     dual_direction_batch,
@@ -99,16 +99,16 @@ def optimal_step_size(state: ProximalState, vertex: DualVertex) -> float:
     positive("eta", state.eta)
     moved = state.w - state.w0
     gap_dir = moved - vertex.w
-    denom = float(gap_dir @ gap_dir)
+    denom = float(np.vdot(gap_dir, gap_dir))
     if denom < DEGENERATE_DENOM:
         return 0.0
     dlam = vertex.lam - state.lam
-    num = float(gap_dir @ moved) + state.eta * dlam
+    num = float(np.vdot(gap_dir, moved)) + state.eta * dlam
     if math.isfinite(num) and math.isfinite(denom):
         ratio = num / denom
     else:
         ratio = _rescaled_ratio(moved, gap_dir, dlam, state.eta)
-    return float(np.clip(ratio, 0.0, 1.0))
+    return _clip01(ratio)
 
 
 def single_step_size(r, delta, loss_term: float, eta: float) -> float:
@@ -121,16 +121,22 @@ def single_step_size(r, delta, loss_term: float, eta: float) -> float:
     positive("eta", eta)
     r = np.asarray(r, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    sq = float(delta @ delta)
+    sq = float(np.vdot(delta, delta))
     if sq < DEGENERATE_DENOM:
         return 0.0
-    num = -eta * float(delta @ r) + float(loss_term)
+    num = -eta * float(np.vdot(delta, r)) + float(loss_term)
     denom = eta * sq
     if math.isfinite(num) and math.isfinite(denom):
         ratio = num / denom
     else:
         ratio = _rescaled_ratio(-r, delta, float(loss_term), 1.0 / eta)
-    return float(np.clip(ratio, 0.0, 1.0))
+    return _clip01(ratio)
+
+
+def _clip01(ratio: float) -> float:
+    # np.clip(ratio, 0.0, 1.0) bit for bit (NaN and -0.0 included) on a
+    # Python float, without numpy's per-call overhead
+    return min(max(ratio, 0.0), 1.0)
 
 
 def _rescaled_ratio(x, y, c, k) -> float:
@@ -166,7 +172,7 @@ def _direction_terms(w, batch, model, l2: float, mode: str):
     loss_term = float((S * aug).sum() / n)
     delta = ref.tape.backward(seed=(S - onehot) / n, at=ref)
     r = l2 * w * model.weight_mask()
-    mean_hinge = float(aug.max(axis=1).mean())
+    mean_hinge = float(aug.max(axis=1).sum() / n)
     return r, delta, loss_term, mean_hinge, switched, n
 
 
@@ -230,12 +236,12 @@ def proximal_fw_solve(
         S, _ = dual_direction_batch(lin_aug, lin_scores, mode)
         lam_s = float((S * aug0).sum() / n)
         delta = tape.backward(seed=(S - onehot) / n, at=ref)
-        vertex = DualVertex(w=-eta * (r + delta), lam=lam_s)
+        vertex = unchecked(DualVertex, {"w": -eta * (r + delta), "lam": lam_s})
 
         # exact Frank-Wolfe certificate: directional slack of the best
         # vertex over the current iterate, computed from primal mirrors
         at_iterate = state.lam - float(moved @ moved) / eta - float(r @ moved)
-        gap = float(lin_aug.max(axis=1).mean()) - at_iterate
+        gap = float(lin_aug.max(axis=1).sum() / n) - at_iterate
         diag.gaps.append(gap)
         if gap <= gap_tol:
             diag.converged = True
@@ -243,11 +249,14 @@ def proximal_fw_solve(
 
         gamma = optimal_step_size(state, vertex)
         diag.step_sizes.append(gamma)
-        state = ProximalState(
-            w0=w0,
-            w=(1.0 - gamma) * state.w + gamma * (vertex.w + w0),
-            lam=(1.0 - gamma) * state.lam + gamma * vertex.lam,
-            eta=eta,
+        state = unchecked(
+            ProximalState,
+            {
+                "w0": w0,
+                "w": (1.0 - gamma) * state.w + gamma * (vertex.w + w0),
+                "lam": (1.0 - gamma) * state.lam + gamma * vertex.lam,
+                "eta": eta,
+            },
         )
         diag.dual_objectives.append(dual_objective(state))
         diag.iterations += 1

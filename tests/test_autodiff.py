@@ -190,6 +190,42 @@ def test_sweeps_that_skip_constants_match_full_sweeps_bitwise():
     assert val.tobytes() == val_full.tobytes() and tan.tobytes() == tan_full.tobytes()
 
 
+def test_relu_masks_follow_the_forward_cache():
+    # backward and jvp reuse each relu's mask until the next forward; after
+    # a move that flips relu signs they must match a fresh tape bit for bit,
+    # whether forward(w2) or a stale-cache jvp(w2, .) moved the cache
+    model = ModelSpec("mlp", input_dim=4, num_classes=3, hidden_dims=(6,))
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(8, 4))
+    w1 = rng.normal(size=model.param_count)
+    w2 = -w1  # negates every first-layer pre-activation
+    seed = rng.normal(size=(8, 3))
+    dw = rng.normal(size=model.param_count)
+    pre1 = X @ w1[:24].reshape(4, 6) + w1[24:30]
+    assert ((pre1 > 0) != (-pre1 > 0)).any()
+
+    _, fresh = model.batch_scores(w2, X)
+    want_grad = fresh.tape.backward(seed=seed, at=fresh)
+    want_val, want_tan = fresh.tape.jvp(w2, dw)
+
+    def tape_with_masks_at_w1():
+        _, ref = model.batch_scores(w1, X)
+        ref.tape.backward(seed=seed, at=ref)
+        ref.tape.jvp(w1, dw)
+        return ref
+
+    ref = tape_with_masks_at_w1()
+    ref.tape.forward(w2)
+    assert ref.tape.backward(seed=seed, at=ref).tobytes() == want_grad.tobytes()
+    val, tan = ref.tape.jvp(w2, dw)
+    assert val.tobytes() == want_val.tobytes() and tan.tobytes() == want_tan.tobytes()
+
+    ref = tape_with_masks_at_w1()
+    val, tan = ref.tape.jvp(w2, dw)
+    assert val.tobytes() == want_val.tobytes() and tan.tobytes() == want_tan.tobytes()
+    assert ref.tape.backward(seed=seed, at=ref).tobytes() == want_grad.tobytes()
+
+
 def test_replay_binds_the_input_slot_on_a_new_tape():
     program = Tape(2)
     _ = program.input() @ program.param(0, (2,))

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import proxfw.models as models_module
 import proxfw.optimizers as optimizers
 from proxfw.bench import (
     EVAL_CHUNK_ROWS,
@@ -22,6 +24,7 @@ from proxfw.bench import (
 from proxfw.data import Dataset, SplitDataset, generate_synthetic
 from proxfw.losses import cross_entropy_batch, hinge_loss_batch
 from proxfw.models import ModelSpec
+from proxfw.models import _record as record
 
 
 def small_blobs(noise=1.0, num_classes=4, seed=0):
@@ -203,6 +206,24 @@ def test_run_config_validation():
         config = RunConfig(dataset=data, optimizer=optimizer, lr_schedule=((1, float("nan")),))
         with pytest.raises(ValueError, match="lr schedule multiplier must be finite and positive"):
             run_training(config)
+    # a schedule string from Python reads as the --lr-schedule flag does
+    config = RunConfig(dataset=data, optimizer="sgd", epochs=4, lr_schedule="3:0.5")
+    assert config.resolved_schedule() == ((3, 0.5),)
+    as_pairs = replace(config, lr_schedule=((3, 0.5),))
+    assert run_training(config).final_w.tobytes() == run_training(as_pairs).final_w.tobytes()
+    for text in ("3-0.5", "3:half", "3:0.5,"):
+        with pytest.raises(ValueError, match=f"bad lr schedule entry .* in {text!r}"):
+            run_training(replace(config, lr_schedule=text))
+
+
+def test_runs_of_one_architecture_record_the_program_once(monkeypatch):
+    recorded = []
+    monkeypatch.setattr(models_module, "_record", lambda model: recorded.append(model) or record(model))
+    models_module._program_of.cache_clear()
+    data = small_blobs()
+    for optimizer in ("dfw", "adam"):
+        run_training(RunConfig(dataset=data, optimizer=optimizer, epochs=1, hidden_dims=(7, 3)))
+    assert len(recorded) == 1
 
 
 @pytest.mark.parametrize("loss", ["svm", "ce"])

@@ -72,6 +72,14 @@ def test_weight_mask_is_computed_once_and_read_only(model):
         mask[0] = False
 
 
+def test_equal_specs_share_program_and_weight_mask():
+    a, b = ModelSpec("mlp", 3, 2, (4,)), ModelSpec("mlp", 3, 2, (4,))
+    assert a is not b
+    assert a._program is b._program
+    assert a.weight_mask() is b.weight_mask()
+    assert ModelSpec("mlp", 3, 2, (5,))._program is not a._program
+
+
 def test_bias_free_linear_scores_are_homogeneous():
     spec = ModelSpec("linear", input_dim=4, num_classes=3, bias=False)
     rng = np.random.default_rng(5)

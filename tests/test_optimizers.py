@@ -296,11 +296,20 @@ def step_of(kind):
     return BaselineState(kind=kind, w=w, lr=0.1), step
 
 
+def _snapshot(obj):
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(obj).items()}
+
+
 @pytest.mark.parametrize("kind", ("dfw",) + BASELINE_KINDS)
 def test_every_step_returns_state_and_diagnostics(kind):
     state, step = step_of(kind)
     X = np.random.default_rng(1).normal(size=(6, 3))
-    new, diag = step(state, (X, np.array([0, 1, 2, 3, 0, 1])), STEP_MODEL)
+    y = np.array([0, 1, 2, 3, 0, 1])
+    before = (_snapshot(state), X.tobytes(), y.tobytes())
+    new, diag = step(state, (X, y), STEP_MODEL)
+    # the step builds a new state of the same class and leaves its inputs alone
+    assert (_snapshot(state), X.tobytes(), y.tobytes()) == before
+    assert vars(new).keys() == vars(state).keys()
     assert type(new) is type(state) and new.step_count == 1
     assert isinstance(diag, StepDiagnostics)
     assert diag.batch_size == 6 and np.isfinite(diag.mean_loss)

@@ -179,7 +179,8 @@ def test_proximal_entry_points_reject_non_finite_eta(entry, eta):
 
 
 # |x| <= 1e300 lets squared norms and dot products overflow float64,
-# which both functions must still map into [0, 1]. eta spans 16 decades.
+# which both functions must still map into [0, 1], and without a numpy
+# RuntimeWarning on the way. eta spans 16 decades.
 FINITE = st.floats(-1e300, 1e300)
 ETA = st.floats(1e-8, 1e8)
 VECTORS = st.integers(1, 6).flatmap(
@@ -187,7 +188,7 @@ VECTORS = st.integers(1, 6).flatmap(
 )
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(VECTORS, FINITE, FINITE, ETA)
 def test_step_sizes_lie_in_unit_interval(vectors, a, b, eta):
@@ -215,6 +216,29 @@ def test_dual_objectives_never_decrease():
         )
         duals = np.array(diag.dual_objectives)
         assert np.all(np.diff(duals) >= -1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["linear", "mlp"]),
+    mode=st.sampled_from(["conditional", "smoothed"]),
+    eta=st.floats(1e-2, 10.0),
+    l2=st.one_of(st.just(0.0), st.floats(1e-5, 1e-1)),
+    seed=st.integers(0, 2**16),
+)
+def test_dual_objectives_never_decrease_on_drawn_problems(kind, mode, eta, l2, seed):
+    # exact line search along a feasible direction of a concave dual: every
+    # pass may lose at most rounding, 1e-12 relative to max(1, |dual|)
+    data = generate_synthetic("blobs", 30, 0, 0, d=4, num_classes=3, noise=1.0, seed=seed)
+    hidden = (5,) if kind == "mlp" else ()
+    model = ModelSpec(kind, input_dim=4, num_classes=3, hidden_dims=hidden)
+    w0 = np.random.default_rng(seed).normal(scale=0.3, size=model.param_count)
+    _, diag = proximal_fw_solve(
+        w0, (data.train.X, data.train.y), model, eta=eta, max_iters=200,
+        gap_tol=1e-12, mode=mode, l2=l2,
+    )
+    duals = np.array(diag.dual_objectives)
+    assert np.all(np.diff(duals) >= -1e-12 * np.maximum(1.0, np.abs(duals[:-1])))
 
 
 def test_linear_solve_recovers_svm_on_separable_data():
