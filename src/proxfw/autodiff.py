@@ -19,8 +19,19 @@ the rest: ``backward`` computes no adjoint into a node that depends on
 no parameter (the input matrix of a first layer, say), and ``jvp``
 carries no zero tangents through such nodes. Parameter gradients and
 output tangents are computed by the same operations as a full sweep.
-Each relu's derivative mask is computed once per forward cache and
-shared by every later ``backward`` and ``jvp`` at that point.
+Each relu's derivative mask is computed once per forward cache, from
+the relu's own output (``out > 0`` exactly when ``in > 0``, NaN and -0.0
+included), and shared by every later ``backward`` and ``jvp`` at that
+point.
+
+A forward writes an add, sub or relu result into its operand ``a``'s
+buffer when that operand is a matmul, add or sub node with no other
+consumer and the result has the operand's shape. No rule reads the value
+of such a node, only its shape, so the sweeps are unchanged and a wide
+layer keeps one buffer instead of three. The writes are decided as nodes
+are recorded; a later node that consumes the operand, such as a head
+appended to a replay, cancels the write. Parameter views, constants, the
+input and reshape views are never written.
 
 Supported primitives: parameter views, constants, input slots, add, sub,
 mul, neg, matmul, relu, exp, log, max (last-axis reduction), rowsum,
@@ -48,6 +59,12 @@ def _unbroadcast(grad, shape):
         if n == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+# ops that may write into their first operand, and the ops whose values
+# they may overwrite: no rule reads a matmul, add or sub value, only its shape
+_WRITERS = frozenset(("add", "sub", "relu"))
+_OVERWRITABLE = frozenset(("matmul", "add", "sub"))
 
 
 def _as_value(v):
@@ -153,6 +170,10 @@ class Tape:
         self._w = None
         self._relu_masks = {}
         self.last_backward_visits = 0
+        # _reader: node -> its only consumer, or -1 once a second one reads
+        # it; _in_place: the nodes whose forward writes into operand a
+        self._reader: dict[int, int] = {}
+        self._in_place: set[int] = set()
 
     def __len__(self):
         return len(self.nodes)
@@ -162,9 +183,18 @@ class Tape:
         ia = a.index if a is not None else -1
         ib = b.index if b is not None else -1
         live = op == "param" or (ia >= 0 and nodes[ia].live) or (ib >= 0 and nodes[ib].live)
+        n = len(nodes)
+        reader = self._reader
+        for k in (ia, ib):
+            if k >= 0 and reader.setdefault(k, n) != n:
+                # a second consumer reads k, so no earlier node may overwrite it
+                self._in_place.discard(reader[k])
+                reader[k] = -1
+        if op in _WRITERS and ia != ib and reader[ia] == n and nodes[ia].op in _OVERWRITABLE:
+            self._in_place.add(n)
         nodes.append(_Node(op, ia, ib, payload, live))
         self._values = None
-        return Ref(self, len(nodes) - 1)
+        return Ref(self, n)
 
     def param(self, start: int, shape=()) -> Ref:
         """View of the parameter slots ``[start, start + prod(shape))``."""
@@ -192,6 +222,8 @@ class Tape:
         """
         tape = Tape(self.num_params)
         tape.nodes = self.nodes.copy()
+        tape._reader = self._reader.copy()
+        tape._in_place = self._in_place.copy()
         tape.bound_input = np.asarray(X, dtype=float)
         return tape
 
@@ -212,7 +244,8 @@ class Tape:
                 f"got shape {w.shape}"
             )
         vals = []
-        for node in self.nodes:
+        in_place = self._in_place
+        for i, node in enumerate(self.nodes):
             op = node.op
             if op == "param":
                 start, shape, size = node.payload
@@ -223,10 +256,14 @@ class Tape:
                 v = self.bound_input
                 if v is None:
                     raise ValueError("the input slot is unbound; run the program through replay")
-            elif op == "add":
-                v = vals[node.a] + vals[node.b]
-            elif op == "sub":
-                v = vals[node.a] - vals[node.b]
+            elif op == "add" or op == "sub":
+                va, vb = vals[node.a], vals[node.b]
+                ufunc = np.add if op == "add" else np.subtract
+                # in place only when broadcasting leaves va's shape unchanged
+                if i in in_place and vb.shape == va.shape[va.ndim - vb.ndim :]:
+                    v = ufunc(va, vb, out=va)
+                else:
+                    v = ufunc(va, vb)
             elif op == "mul":
                 v = vals[node.a] * vals[node.b]
             elif op == "neg":
@@ -234,7 +271,8 @@ class Tape:
             elif op == "matmul":
                 v = vals[node.a] @ vals[node.b]
             elif op == "relu":
-                v = np.maximum(vals[node.a], 0.0)
+                va = vals[node.a]
+                v = np.maximum(va, 0.0, out=va) if i in in_place else np.maximum(va, 0.0)
             elif op == "exp":
                 v = np.exp(vals[node.a])
             elif op == "log":
@@ -336,7 +374,7 @@ class Tape:
                     else:
                         acc(node.b, np.outer(va, g) if vb.ndim == 2 else g * va)
             elif op == "relu":
-                acc(node.a, g * self._relu_mask(i, node.a))
+                acc(node.a, g * self._relu_mask(i))
             elif op == "exp":
                 acc(node.a, g * vals[i])
             elif op == "log":
@@ -420,7 +458,7 @@ class Tape:
             elif op == "neg":
                 t = -ta
             elif op == "relu":
-                t = ta * self._relu_mask(i, node.a)
+                t = ta * self._relu_mask(i)
             elif op == "exp":
                 t = ta * vals[i]
             elif op == "log":
@@ -456,11 +494,12 @@ class Tape:
             self.forward(w)
         return self._values
 
-    def _relu_mask(self, i, operand):
-        # derivative of relu node i at the cached point, computed once per forward
+    def _relu_mask(self, i):
+        # derivative of relu node i at the cached point, computed once per
+        # forward from its output, as its input may have been overwritten
         mask = self._relu_masks.get(i)
         if mask is None:
-            mask = self._relu_masks[i] = self._values[operand] > 0.0
+            mask = self._relu_masks[i] = self._values[i] > 0.0
         return mask
 
 

@@ -175,7 +175,11 @@ class ToyBinaryModel:
         return self._run(w, x)
 
     def batch_scores(self, w, X):
-        return self._run(w, np.asarray(X, dtype=float).reshape(-1, 1))
+        """Scores for a batch of shape (n,) or (n, 1), shape (n, 2)."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim not in (1, 2) or X.shape[1:] not in ((), (1,)):
+            raise ValueError(f"expected inputs of shape (n,) or (n, 1), got {X.shape}")
+        return self._run(w, X.reshape(-1, 1))
 
     @cached_property
     def _program(self) -> Tape:

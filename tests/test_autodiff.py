@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from proxfw.autodiff import Tape, backward_grad, fd_gradient_oracle, forward_eval
+from proxfw.autodiff import Ref, Tape, backward_grad, fd_gradient_oracle, forward_eval
 from proxfw.models import ModelSpec
 
 from helpers import head_value, hinge_objective_ref
@@ -267,3 +269,148 @@ def test_batched_heads_match_per_sample_sum():
         _, sref = model.scores(w, X[i])
         g_sum += sref.tape.backward(seed=seed[i], at=sref)
     assert np.allclose(g_batch, g_sum, atol=1e-12)
+
+
+def layered_program(extra_readers=False):
+    # relu(X @ W + b) @ V + c over input X (n, 3): the bias adds and the
+    # relu write into the matmul buffers. extra_readers gives every matmul
+    # and add an unused second consumer, which rules out every such write
+    # and leaves the same program computing into fresh buffers.
+    tape = Tape(26)
+    nodes = {"X": tape.input()}
+
+    def keep(name, ref):
+        nodes[name] = ref
+        if extra_readers:
+            _ = ref * 1.0
+        return ref
+
+    m = keep("m", nodes["X"] @ tape.param(0, (3, 4)))
+    h = keep("h", m + tape.param(12, (4,)))
+    r = nodes["r"] = h.relu()
+    s = keep("s", r @ tape.param(16, (4, 2)))
+    nodes["out"] = s + tape.param(24, (2,))
+    return tape, nodes
+
+
+def layered_numpy(w, X):
+    m = X @ w[:12].reshape(3, 4)
+    r = np.maximum(m + w[12:16], 0.0)
+    return r, r @ w[16:24].reshape(4, 2) + w[24:]
+
+
+def test_in_place_writes_match_fresh_buffers_bitwise():
+    # the relu zeros some rows, so its mask matters; backward at the
+    # overwritten h and the jvp must match the program without writes
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(7, 3))
+    w = rng.normal(size=26)
+    dw = rng.normal(size=26)
+    seed_h, seed_out = rng.normal(size=(7, 4)), rng.normal(size=(7, 2))
+    program, nodes = layered_program()
+    reference, ref_nodes = layered_program(extra_readers=True)
+    assert program._in_place and not reference._in_place
+    tape, ref_tape = program.replay(X), reference.replay(X)
+
+    r, out = layered_numpy(w, X)
+    assert (r == 0).any() and (r > 0).any()
+    assert tape.forward(w).tobytes() == out.tobytes()
+    ref_tape.forward(w)
+    for name, seed in (("h", seed_h), ("r", seed_h), ("out", seed_out)):
+        got = tape.backward(seed=seed, at=Ref(tape, nodes[name].index))
+        want = ref_tape.backward(seed=seed, at=Ref(ref_tape, ref_nodes[name].index))
+        assert got.tobytes() == want.tobytes()
+    # the gradient at h is the linear layer's alone
+    g_h = tape.backward(seed=seed_h, at=Ref(tape, nodes["h"].index))
+    assert g_h[:12].tobytes() == (X.T @ seed_h).ravel().tobytes()
+    assert g_h[12:16].tobytes() == seed_h.sum(axis=0).tobytes()
+
+    val, tan = tape.jvp(w, dw)
+    ref_val, ref_tan = ref_tape.jvp(w, dw)
+    assert val.tobytes() == out.tobytes() == ref_val.tobytes()
+    assert tan.tobytes() == ref_tan.tobytes()
+
+
+def test_two_consumers_keep_their_operand():
+    # h feeds both the relu and the final add, so neither may overwrite it
+    rng = np.random.default_rng(22)
+    X = rng.normal(size=(5, 3))
+    w = rng.normal(size=8)
+    seed = rng.normal(size=(5, 2))
+    tape = Tape(8)
+    h = tape.constant(X) @ tape.param(0, (3, 2)) + tape.param(6, (2,))
+    _ = h.relu() + h
+    pre = X @ w[:6].reshape(3, 2) + w[6:]
+    assert (pre < 0).any()
+    assert tape.forward(w).tobytes() == (np.maximum(pre, 0.0) + pre).tobytes()
+    d = seed + seed * (pre > 0)
+    g = tape.backward(seed=seed)
+    assert g[:6].tobytes() == (X.T @ d).ravel().tobytes()
+    assert g[6:].tobytes() == d.sum(axis=0).tobytes()
+
+
+def test_broadcast_that_grows_the_operand_takes_a_fresh_buffer():
+    # the matmul value has shape (2,), the sum (3, 2): no write into it fits
+    tape = Tape(4)
+    x, B = np.array([1.0, -2.0]), np.arange(6.0).reshape(3, 2)
+    _ = (tape.constant(x) @ tape.param(0, (2, 2)) + tape.constant(B)).relu()
+    w = np.array([0.5, -1.0, 2.0, 0.25])
+    assert tape.forward(w).tobytes() == np.maximum(x @ w.reshape(2, 2) + B, 0.0).tobytes()
+
+
+def test_head_on_a_replay_cancels_the_write_into_what_it_reads():
+    # the recorded relu overwrites h; a head on one replay that reads h
+    # keeps h intact there, and the program and other replays still write
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(6, 3))
+    w = rng.normal(size=26)
+    program, nodes = layered_program()
+    relu_index = nodes["r"].index
+    tape = program.replay(X)
+    head = tape.output.total() + Ref(tape, nodes["h"].index).total()
+    assert relu_index not in tape._in_place
+    assert relu_index in program._in_place and relu_index in program.replay(X)._in_place
+
+    _, out = layered_numpy(w, X)
+    pre = X @ w[:12].reshape(3, 4) + w[12:16]
+    assert (pre < 0).any()
+    assert float(head.tape.forward(w)) == float(np.sum(out) + np.sum(pre))
+
+
+def test_scores_stay_unchanged_by_later_calls_and_sweeps():
+    model = ModelSpec("mlp", input_dim=4, num_classes=3, hidden_dims=(5, 6))
+    rng = np.random.default_rng(24)
+    X = rng.normal(size=(8, 4))
+    w, w2, dw = (rng.normal(size=model.param_count) for _ in range(3))
+    seed = rng.normal(size=(8, 3))
+    F, ref = model.batch_scores(w, X)
+    kept = F.copy()
+    ref.tape.backward(seed=seed, at=ref)
+    ref.tape.jvp(w2, dw)
+    G, other = model.batch_scores(w2, X)
+    other.tape.backward(seed=seed, at=other)
+    head = (ref - 1.0).relu().total()  # the sub may overwrite the scores node
+    head.tape.forward(w)
+    head.tape.backward()
+    assert F.tobytes() == kept.tobytes()
+    assert F.tobytes() == model.batch_scores(w, X)[0].tobytes()
+    assert G.tobytes() == model.batch_scores(w2, X)[0].tobytes()
+
+
+def test_wide_forward_keeps_one_buffer_per_layer():
+    # a replayed forward of MLP 32-256-256-4 on 512 rows retains its two
+    # hidden activations, the copy of w and the output, and little else;
+    # with a matmul, a bias-add and a relu buffer per layer it kept 6.6 MB
+    model = ModelSpec("mlp", input_dim=32, num_classes=4, hidden_dims=(256, 256))
+    rng = np.random.default_rng(25)
+    X = rng.normal(size=(512, 32))
+    w = model.init_params(0)
+    _, ref = model.batch_scores(w, X)
+    tracemalloc.start()
+    try:
+        ref.tape.forward(w)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    floats = 2 * 512 * 256 + model.param_count + 512 * 4
+    assert retained <= 8 * floats + 64 * 1024

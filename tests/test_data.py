@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from proxfw.data import (
     Dataset,
@@ -86,6 +89,42 @@ def test_bad_values_name_the_line(tmp_path, fmt, bad_line, reason):
     p.write_text(f"{good}\n\n{bad_line}\n{good}\n")
     with pytest.raises(DatasetFormatError, match=f"line 3: {reason}"):
         load_dataset(p, fmt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_csv_and_libsvm_files_round_trip_bitwise(tmp_path_factory, data):
+    # features written with repr load back bit for bit, -0.0 included;
+    # LIBSVM rows omit their +0.0 entries and list the rest shuffled, so
+    # the loaded width ends at the last column any row names
+    n = data.draw(st.integers(1, 6), label="rows")
+    d = data.draw(st.integers(1, 5), label="columns")
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    X = data.draw(arrays(np.float64, (n, d), elements=finite | st.sampled_from([0.0, -0.0])))
+    raw = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n), label="labels")
+    blanks = data.draw(st.lists(st.sampled_from(["", " ", "\t "]), min_size=n + 1, max_size=n + 1))
+    remap = {}
+    y = [remap.setdefault(lab, len(remap)) for lab in raw]
+    kept = (X != 0.0) | np.signbit(X)
+    written = [[(j, float(X[i, j])) for j in np.flatnonzero(kept[i])] for i in range(n)]
+    lines = {
+        "csv": [",".join([repr(float(v)) for v in X[i]] + [str(raw[i])]) for i in range(n)],
+        "libsvm": [
+            " ".join([str(raw[i])] + [f"{j + 1}:{v!r}" for j, v in data.draw(st.permutations(written[i]))])
+            for i in range(n)
+        ],
+    }
+    width = max((j for row in written for j, _ in row), default=-1) + 1
+    expect = {"csv": X, "libsvm": np.ascontiguousarray(X[:, :width])}
+    root = tmp_path_factory.mktemp("round_trip")
+    for fmt, rows in lines.items():
+        path = root / f"d.{fmt}"
+        text = "".join(f"{blank}\n{row}\n" for blank, row in zip(blanks, rows)) + blanks[-1]
+        path.write_text(text)
+        loaded = load_dataset(path, fmt)
+        assert loaded.X.shape == expect[fmt].shape
+        assert loaded.X.tobytes() == expect[fmt].tobytes()
+        assert loaded.y.tolist() == y
 
 
 def test_empty_file_rejected(tmp_path):

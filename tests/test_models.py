@@ -31,6 +31,16 @@ def test_toy_binary_model_scores():
     assert model.param_count == 1
 
 
+def test_toy_batch_scores_take_one_feature_per_row():
+    model, w = ToyBinaryModel(), np.array([2.0])
+    for X in (np.array([1.0, -3.0]), np.array([[1.0], [-3.0]])):
+        F, _ = model.batch_scores(w, X)
+        assert np.array_equal(F, [[2.0, 0.0], [-6.0, 0.0]])
+    for bad in (np.ones((3, 2)), np.ones((2, 1, 1)), np.float64(1.0)):
+        with pytest.raises(ValueError, match=r"shape \(n,\) or \(n, 1\)"):
+            model.batch_scores(w, bad)
+
+
 def test_param_count_matches_accepted_length():
     for spec in (
         ModelSpec("linear", input_dim=3, num_classes=4),
