@@ -6,42 +6,39 @@ every intermediate, ``backward`` runs a single reverse sweep that visits
 each node exactly once, and ``jvp`` propagates forward tangents for
 directional derivatives. Graphs are built through :class:`Ref` handles,
 which overload the usual arithmetic operators, so model code reads like
-plain numpy.
+plain numpy. ``input()`` records a slot in place of the input array, and
+``replay(X)`` returns a tape that shares the recorded nodes (one list
+copy) with the slot bound to ``X``; nodes appended to it, such as a loss
+head, stay off the recorded program.
 
-A program can also be recorded once and run on many inputs. ``input()``
-records a slot in place of the input array; ``replay(X)`` returns a new
-tape that shares the recorded nodes (one list copy, no rebuild) with the
-slot bound to ``X``. Nodes appended to the replay, such as a loss head,
-stay off the recorded program.
+Each primitive is one ``_RULES`` entry, bound to its node when the node
+is recorded; the sweeps loop over the bound rules and handle only the
+leaves (parameter views, constants, the input slot) apart. A new
+primitive is one new entry, and its tangent is derived, not written:
+linear ops (add, sub, neg, rowsum, total, reshape) apply their forward
+to the tangents, mul and matmul add their two one-tangent forwards,
+relu, exp and log apply their adjoint rule to the tangent, and max and
+select take the tangent at the entries they gather. Those entries and
+relu's derivative mask (read from its output: ``out > 0`` exactly when
+``in > 0``, NaN and -0.0 included) are aux values, made once per
+forward cache. Max reduces the last axis and routes its adjoint to the
+lowest-index maximizer, relu has derivative 0 at 0, and on a 0-d operand
+max and rowsum are the identity.
 
-Every node records whether its value depends on a parameter. Sweeps skip
-the rest: ``backward`` computes no adjoint into a node that depends on
-no parameter (the input matrix of a first layer, say), and ``jvp``
-carries no zero tangents through such nodes. Parameter gradients and
-output tangents are computed by the same operations as a full sweep.
-Each relu's derivative mask is computed once per forward cache, from
-the relu's own output (``out > 0`` exactly when ``in > 0``, NaN and -0.0
-included), and shared by every later ``backward`` and ``jvp`` at that
-point.
-
-A forward writes an add, sub or relu result into its operand ``a``'s
-buffer when that operand is a matmul, add or sub node with no other
-consumer and the result has the operand's shape. No rule reads the value
-of such a node, only its shape, so the sweeps are unchanged and a wide
+Sweeps skip the nodes that depend on no parameter: ``backward`` computes
+no adjoint into them (the input matrix of a first layer, say) and
+``jvp`` carries no zero tangents through them. A forward writes an add,
+sub or relu result into its operand ``a``'s buffer when that operand is
+a matmul, add or sub node (whose values no rule reads, only their
+shapes) with no other consumer and the result has its shape, so a wide
 layer keeps one buffer instead of three. The writes are decided as nodes
-are recorded; a later node that consumes the operand, such as a head
-appended to a replay, cancels the write. Parameter views, constants, the
-input and reshape views are never written.
-
-Supported primitives: parameter views, constants, input slots, add, sub,
-mul, neg, matmul, relu, exp, log, max (last-axis reduction), rowsum,
-total, select (index / per-row gather) and reshape. Piecewise-linear
-primitives use a fixed subgradient convention: max routes its adjoint to
-the lowest-index maximizer and relu uses derivative 0 at 0, so backward
-passes are deterministic even at kinks.
+are recorded; a later consumer of the operand, such as a head appended
+to a replay, cancels the write.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -61,28 +58,153 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-# ops that may write into their first operand, and the ops whose values
-# they may overwrite: no rule reads a matmul, add or sub value, only its shape
-_WRITERS = frozenset(("add", "sub", "relu"))
-_OVERWRITABLE = frozenset(("matmul", "add", "sub"))
-
-
 def _as_value(v):
     # every node value is float64: an array unless a reduction or an op on
     # 0-d operands returned a numpy scalar
     return v if type(v) is np.ndarray else np.asarray(v, dtype=float)
 
 
-class _Node:
-    # live: the node's value depends on at least one parameter
-    __slots__ = ("op", "a", "b", "payload", "live")
+# One primitive's part in each sweep, given the operand values a and b,
+# the payload p, the node's value v, its aux value x = aux(a, v, p) and
+# the operand tangents ta and tb (None where an operand depends on no
+# parameter). forward(a, b, p, out) makes v, into out unless that is None;
+# adjoints[k](g, a, b, v, x) maps the node's adjoint g to operand k's;
+# tangent(rule, ta, tb, a, b, v, x, p) is one of the derivations below.
+# writes: the forward may write into operand a; overwritable: no rule
+# reads this node's value, so a writer may take its buffer.
+_Rule = namedtuple(
+    "_Rule", "forward adjoints tangent writes overwritable aux", defaults=(False, False, None)
+)
+# rule: the op's _RULES entry, None for a leaf; live: the node's value
+# depends on at least one parameter
+_Node = namedtuple("_Node", "op rule a b payload live")
 
-    def __init__(self, op, a, b, payload, live):
-        self.op = op
-        self.a = a
-        self.b = b
-        self.payload = payload
-        self.live = live
+
+def _linear(rule, ta, tb, a, b, v, x, p):
+    if tb is None and b is not None:
+        t = ta
+    elif ta is None:  # add and sub map b alone by +-identity, its own adjoint
+        t = rule.adjoints[1](tb, a, b, v, x)
+    else:
+        t = rule.forward(ta, tb, p, None)
+    # an operand broadcast to the result's shape carried no tangent
+    return t if t.shape == v.shape else np.broadcast_to(t, v.shape)
+
+
+def _bilinear(rule, ta, tb, a, b, v, x, p):
+    # the product rule: one forward per operand that has a tangent
+    f = rule.forward
+    if tb is None:
+        return f(ta, b, p, None)
+    return f(a, tb, p, None) if ta is None else f(ta, b, p, None) + f(a, tb, p, None)
+
+
+def _pointwise(rule, ta, tb, a, b, v, x, p):
+    # an elementwise scaling is its own adjoint
+    return rule.adjoints[0](ta, a, b, v, x)
+
+
+def _gathered(rule, ta, tb, a, b, v, x, p):
+    return ta[x]
+
+
+def _gather(a, pick):
+    # the entries max and select read: one of a vector, one per matrix row
+    return int(pick) if a.ndim <= 1 else (np.arange(a.shape[0]), pick)
+
+
+def _scatter(g, a, b, v, x):
+    # adjoint of max and select: g at the gathered entries x, zero elsewhere
+    ga = np.zeros_like(a)
+    ga[x] = g
+    return ga
+
+
+def _to_a(g, a, b, v, x):
+    return _unbroadcast(g, a.shape)
+
+
+def _to_b(g, a, b, v, x):
+    return _unbroadcast(g, b.shape)
+
+
+def _matmul_a(g, a, b, v, x):
+    if b.ndim == 1:
+        return np.outer(g, b) if a.ndim == 2 else g * b
+    return g @ b.T if a.ndim == 2 else b @ g
+
+
+def _matmul_b(g, a, b, v, x):
+    if a.ndim == 2:
+        return a.T @ g
+    return np.outer(a, g) if b.ndim == 2 else g * a
+
+
+def _spread(g, a, b, v, x):
+    # adjoint of rowsum: g repeated along a's last axis, if a has one
+    return g if a.ndim == 0 else np.broadcast_to(np.expand_dims(g, -1), a.shape)
+
+
+_RULES = {
+    "add": _Rule(
+        lambda a, b, p, out: np.add(a, b, out=out),
+        (_to_a, _to_b),
+        _linear,
+        writes=True,
+        overwritable=True,
+    ),
+    "sub": _Rule(
+        lambda a, b, p, out: np.subtract(a, b, out=out),
+        (_to_a, lambda g, a, b, v, x: -_unbroadcast(g, b.shape)),
+        _linear,
+        writes=True,
+        overwritable=True,
+    ),
+    "mul": _Rule(
+        lambda a, b, p, out: a * b,
+        (
+            lambda g, a, b, v, x: _unbroadcast(g * b, a.shape),
+            lambda g, a, b, v, x: _unbroadcast(g * a, b.shape),
+        ),
+        _bilinear,
+    ),
+    "neg": _Rule(lambda a, b, p, out: -a, (lambda g, a, b, v, x: -g,), _linear),
+    "matmul": _Rule(
+        lambda a, b, p, out: a @ b, (_matmul_a, _matmul_b), _bilinear, overwritable=True
+    ),
+    "relu": _Rule(
+        lambda a, b, p, out: np.maximum(a, 0.0, out=out),
+        (lambda g, a, b, v, x: g * x,),
+        _pointwise,
+        writes=True,
+        aux=lambda a, v, p: v > 0.0,
+    ),
+    "exp": _Rule(lambda a, b, p, out: np.exp(a), (lambda g, a, b, v, x: g * v,), _pointwise),
+    "log": _Rule(lambda a, b, p, out: np.log(a), (lambda g, a, b, v, x: g / a,), _pointwise),
+    "max": _Rule(
+        lambda a, b, p, out: np.max(a, axis=-1),
+        (_scatter,),
+        _gathered,
+        aux=lambda a, v, p: _gather(a, np.argmax(a, axis=-1)) if a.ndim else (),
+    ),
+    "rowsum": _Rule(lambda a, b, p, out: np.sum(a, axis=-1), (_spread,), _linear),
+    "total": _Rule(
+        lambda a, b, p, out: np.sum(a),
+        (lambda g, a, b, v, x: np.broadcast_to(g, a.shape),),
+        _linear,
+    ),
+    "select": _Rule(
+        lambda a, b, p, out: a[_gather(a, p)],
+        (_scatter,),
+        _gathered,
+        aux=lambda a, v, p: _gather(a, p),
+    ),
+    "reshape": _Rule(
+        lambda a, b, p, out: a.reshape(p),
+        (lambda g, a, b, v, x: np.asarray(g).reshape(a.shape),),
+        _linear,
+    ),
+}
 
 
 class Ref:
@@ -168,7 +290,7 @@ class Tape:
         self.bound_input = None
         self._values = None
         self._w = None
-        self._relu_masks = {}
+        self._aux = {}  # node -> its aux value at the cached point
         self.last_backward_visits = 0
         # _reader: node -> its only consumer, or -1 once a second one reads
         # it; _in_place: the nodes whose forward writes into operand a
@@ -180,6 +302,7 @@ class Tape:
 
     def _push(self, op, a=None, b=None, payload=None) -> Ref:
         nodes = self.nodes
+        rule = None if a is None else _RULES[op]
         ia = a.index if a is not None else -1
         ib = b.index if b is not None else -1
         live = op == "param" or (ia >= 0 and nodes[ia].live) or (ib >= 0 and nodes[ib].live)
@@ -190,9 +313,10 @@ class Tape:
                 # a second consumer reads k, so no earlier node may overwrite it
                 self._in_place.discard(reader[k])
                 reader[k] = -1
-        if op in _WRITERS and ia != ib and reader[ia] == n and nodes[ia].op in _OVERWRITABLE:
-            self._in_place.add(n)
-        nodes.append(_Node(op, ia, ib, payload, live))
+        if rule is not None and rule.writes and ia != ib and reader[ia] == n:
+            if getattr(nodes[ia].rule, "overwritable", False):  # False for a leaf
+                self._in_place.add(n)
+        nodes.append(_Node(op, rule, ia, ib, payload, live))
         self._values = None
         return Ref(self, n)
 
@@ -233,8 +357,6 @@ class Tape:
             raise ValueError("tape is empty")
         return Ref(self, len(self.nodes) - 1)
 
-    # ------------------------------------------------------------------
-
     def forward(self, w):
         """Evaluate the recorded program at ``w`` and cache intermediates."""
         w = np.asarray(w, dtype=float)
@@ -245,71 +367,40 @@ class Tape:
             )
         vals = []
         in_place = self._in_place
-        for i, node in enumerate(self.nodes):
-            op = node.op
-            if op == "param":
-                start, shape, size = node.payload
+        for i, (op, rule, ia, ib, payload, _) in enumerate(self.nodes):
+            if rule is not None:
+                va = vals[ia]
+                vb = vals[ib] if ib >= 0 else None
+                # in place only when broadcasting leaves va's shape unchanged
+                fits = i in in_place and (vb is None or vb.shape == va.shape[va.ndim - vb.ndim :])
+                v = rule.forward(va, vb, payload, va if fits else None)
+            elif op == "param":
+                start, shape, size = payload
                 v = w[start : start + size].reshape(shape)
             elif op == "const":
-                v = node.payload
-            elif op == "input":
+                v = payload
+            else:
                 v = self.bound_input
                 if v is None:
                     raise ValueError("the input slot is unbound; run the program through replay")
-            elif op == "add" or op == "sub":
-                va, vb = vals[node.a], vals[node.b]
-                ufunc = np.add if op == "add" else np.subtract
-                # in place only when broadcasting leaves va's shape unchanged
-                if i in in_place and vb.shape == va.shape[va.ndim - vb.ndim :]:
-                    v = ufunc(va, vb, out=va)
-                else:
-                    v = ufunc(va, vb)
-            elif op == "mul":
-                v = vals[node.a] * vals[node.b]
-            elif op == "neg":
-                v = -vals[node.a]
-            elif op == "matmul":
-                v = vals[node.a] @ vals[node.b]
-            elif op == "relu":
-                va = vals[node.a]
-                v = np.maximum(va, 0.0, out=va) if i in in_place else np.maximum(va, 0.0)
-            elif op == "exp":
-                v = np.exp(vals[node.a])
-            elif op == "log":
-                v = np.log(vals[node.a])
-            elif op == "max":
-                v = np.max(vals[node.a], axis=-1)
-            elif op == "rowsum":
-                v = np.sum(vals[node.a], axis=-1)
-            elif op == "total":
-                v = np.sum(vals[node.a])
-            elif op == "select":
-                va = vals[node.a]
-                if va.ndim <= 1:
-                    v = va[int(node.payload)]
-                else:
-                    v = va[np.arange(va.shape[0]), node.payload]
-            elif op == "reshape":
-                v = vals[node.a].reshape(node.payload)
-            else:  # pragma: no cover
-                raise ValueError(f"unknown op {op!r}")
             vals.append(_as_value(v))
         self._values = vals
-        self._relu_masks = {}
+        self._aux = {}
         self._w = w.copy()
         return vals[-1] if vals else np.float64(0.0)
 
     def backward(self, seed=None, at: Ref | None = None):
         """Reverse sweep; returns the gradient w.r.t. the parameter vector.
 
-        ``seed`` is the adjoint of the node ``at`` (default: the output).
-        With no seed the output must be scalar and the seed is 1. Requires
-        a cached ``forward``; each call visits every node exactly once and
-        records the count in ``last_backward_visits``. No adjoint is
-        computed for a node that depends on no parameter.
+        ``seed`` is the adjoint of this tape's node ``at`` (default: the
+        output); with no seed the output must be scalar and the seed is 1.
+        Requires a cached ``forward``. Each call visits every node once and
+        records the count in ``last_backward_visits``.
         """
         if self._values is None:
             raise ValueError("run forward before backward")
+        if at is not None and at.tape is not self:
+            raise ValueError("cannot combine nodes from different tapes")
         vals = self._values
         nodes = self.nodes
         out_index = at.index if at is not None else len(nodes) - 1
@@ -328,83 +419,25 @@ class Tape:
         if nodes[out_index].live:
             adj[out_index] = seed
         grad = np.zeros(self.num_params)
-
-        def acc(j, g):
-            # never updated in place, so the first write may alias g
-            adj[j] = g if adj[j] is None else adj[j] + g
-
-        # only live nodes receive adjoints, and a live unary node has a live
-        # operand, so only the binary ops check their operands
         for i in range(len(nodes) - 1, -1, -1):
             g = adj[i]
             if g is None:
                 continue
-            node = nodes[i]
-            op = node.op
-            if op == "param":
-                start, _shape, size = node.payload
+            _, rule, ia, ib, payload, _ = nodes[i]
+            if rule is None:  # the only live leaf is a parameter view
+                start, _shape, size = payload
                 grad[start : start + size] += g.ravel()
-            elif op == "add":
-                if nodes[node.a].live:
-                    acc(node.a, _unbroadcast(g, vals[node.a].shape))
-                if nodes[node.b].live:
-                    acc(node.b, _unbroadcast(g, vals[node.b].shape))
-            elif op == "sub":
-                if nodes[node.a].live:
-                    acc(node.a, _unbroadcast(g, vals[node.a].shape))
-                if nodes[node.b].live:
-                    acc(node.b, -_unbroadcast(g, vals[node.b].shape))
-            elif op == "mul":
-                if nodes[node.a].live:
-                    acc(node.a, _unbroadcast(g * vals[node.b], vals[node.a].shape))
-                if nodes[node.b].live:
-                    acc(node.b, _unbroadcast(g * vals[node.a], vals[node.b].shape))
-            elif op == "neg":
-                acc(node.a, -g)
-            elif op == "matmul":
-                va, vb = vals[node.a], vals[node.b]
-                if nodes[node.a].live:
-                    if vb.ndim == 1:
-                        acc(node.a, np.outer(g, vb) if va.ndim == 2 else g * vb)
-                    else:
-                        acc(node.a, g @ vb.T if va.ndim == 2 else vb @ g)
-                if nodes[node.b].live:
-                    if va.ndim == 2:
-                        acc(node.b, va.T @ g)
-                    else:
-                        acc(node.b, np.outer(va, g) if vb.ndim == 2 else g * va)
-            elif op == "relu":
-                acc(node.a, g * self._relu_mask(i))
-            elif op == "exp":
-                acc(node.a, g * vals[i])
-            elif op == "log":
-                acc(node.a, g / vals[node.a])
-            elif op == "max":
-                va = vals[node.a]
-                if va.ndim == 0:
-                    ga = np.asarray(g, dtype=float)
-                else:
-                    ga = np.zeros_like(va)
-                    if va.ndim == 1:
-                        ga[int(np.argmax(va))] = g
-                    else:
-                        ga[np.arange(va.shape[0]), np.argmax(va, axis=-1)] = g
-                acc(node.a, ga)
-            elif op == "rowsum":
-                va = vals[node.a]
-                acc(node.a, np.broadcast_to(np.expand_dims(g, -1), va.shape))
-            elif op == "total":
-                acc(node.a, np.broadcast_to(g, vals[node.a].shape))
-            elif op == "select":
-                va = vals[node.a]
-                ga = np.zeros_like(va)
-                if va.ndim <= 1:
-                    ga[int(node.payload)] = g
-                else:
-                    ga[np.arange(va.shape[0]), node.payload] = g
-                acc(node.a, ga)
-            elif op == "reshape":
-                acc(node.a, np.asarray(g).reshape(vals[node.a].shape))
+                continue
+            va = vals[ia]
+            vb = vals[ib] if ib >= 0 else None
+            x = self._aux_at(i) if rule.aux is not None else None
+            # adjoints are never updated in place, so the first write may alias
+            if nodes[ia].live:
+                ga = rule.adjoints[0](g, va, vb, vals[i], x)
+                adj[ia] = ga if adj[ia] is None else adj[ia] + ga
+            if ib >= 0 and nodes[ib].live:
+                gb = rule.adjoints[1](g, va, vb, vals[i], x)
+                adj[ib] = gb if adj[ib] is None else adj[ib] + gb
         self.last_backward_visits = len(nodes)
         return grad
 
@@ -412,12 +445,10 @@ class Tape:
         """Forward-mode sweep. Returns ``(value, tangent)`` of the output.
 
         The tangent is the directional derivative of the recorded program
-        at ``w`` along ``dw``; at max/relu kinks the same lowest-index and
-        inactive-at-0 conventions as ``backward`` apply. Primal values
-        come from the forward cache, which is refreshed only when it does
-        not hold ``w``, so repeated calls at one point propagate tangents
-        alone. Nodes that depend on no parameter carry no tangent (None)
-        rather than zeros.
+        at ``w`` along ``dw``, with ``backward``'s conventions at kinks.
+        Primal values come from the forward cache, which is refreshed only
+        when it does not hold ``w``, so repeated calls at one point
+        propagate tangents alone.
         """
         w = np.asarray(w, dtype=float)
         dw = np.asarray(dw, dtype=float)
@@ -428,61 +459,19 @@ class Tape:
             return z, z
         vals = self._values_at(w)
         tans: list = []
-        for i, node in enumerate(self.nodes):
-            if not node.live:
-                tans.append(None)
-                continue
-            op = node.op
-            ta = tans[node.a] if node.a >= 0 else None
-            tb = tans[node.b] if node.b >= 0 else None
-            if op == "param":
-                start, shape, size = node.payload
+        for i, (_, rule, ia, ib, payload, live) in enumerate(self.nodes):
+            if not live:
+                t = None
+            elif rule is None:  # a parameter view
+                start, shape, size = payload
                 t = dw[start : start + size].reshape(shape)
-            elif op in ("add", "sub"):
-                if tb is None:
-                    t = ta
-                elif ta is None:
-                    t = tb if op == "add" else -tb
-                else:
-                    t = ta + tb if op == "add" else ta - tb
-                if t.shape != vals[i].shape:  # a broadcast operand was constant
-                    t = np.broadcast_to(t, vals[i].shape)
-            elif op in ("mul", "matmul"):
-                product = np.multiply if op == "mul" else np.matmul
-                if tb is None:
-                    t = product(ta, vals[node.b])
-                elif ta is None:
-                    t = product(vals[node.a], tb)
-                else:
-                    t = product(ta, vals[node.b]) + product(vals[node.a], tb)
-            elif op == "neg":
-                t = -ta
-            elif op == "relu":
-                t = ta * self._relu_mask(i)
-            elif op == "exp":
-                t = ta * vals[i]
-            elif op == "log":
-                t = ta / vals[node.a]
-            elif op == "max":
-                va = vals[node.a]
-                if va.ndim <= 1:
-                    t = ta[..., int(np.argmax(va))]
-                else:
-                    t = ta[np.arange(va.shape[0]), np.argmax(va, axis=-1)]
-            elif op == "rowsum":
-                t = np.sum(ta, axis=-1)
-            elif op == "total":
-                t = np.sum(ta)
-            elif op == "select":
-                if vals[node.a].ndim <= 1:
-                    t = ta[int(node.payload)]
-                else:
-                    t = ta[np.arange(ta.shape[0]), node.payload]
-            elif op == "reshape":
-                t = ta.reshape(node.payload)
-            else:  # pragma: no cover
-                raise ValueError(f"unknown op {op!r}")
-            tans.append(_as_value(t))
+            else:
+                tb = vb = None
+                if ib >= 0:
+                    tb, vb = tans[ib], vals[ib]
+                x = self._aux_at(i) if rule.aux is not None else None
+                t = _as_value(rule.tangent(rule, tans[ia], tb, vals[ia], vb, vals[i], x, payload))
+            tans.append(t)
         out = tans[-1]
         return vals[-1], np.zeros_like(vals[-1]) if out is None else out
 
@@ -494,13 +483,13 @@ class Tape:
             self.forward(w)
         return self._values
 
-    def _relu_mask(self, i):
-        # derivative of relu node i at the cached point, computed once per
-        # forward from its output, as its input may have been overwritten
-        mask = self._relu_masks.get(i)
-        if mask is None:
-            mask = self._relu_masks[i] = self._values[i] > 0.0
-        return mask
+    def _aux_at(self, i):
+        # made on first use after each forward, which empties the cache
+        x = self._aux.get(i)
+        if x is None:
+            node = self.nodes[i]
+            x = self._aux[i] = node.rule.aux(self._values[node.a], self._values[i], node.payload)
+        return x
 
 
 def forward_eval(tape: Tape, w):

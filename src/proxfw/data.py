@@ -12,6 +12,7 @@ number) and remap labels to 0..K-1 in order of first appearance.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,44 +183,51 @@ def parse_libsvm_line(line: str):
 
 
 def load_dataset(path, fmt: str = "csv") -> Dataset:
-    """Load a whole file; labels remapped to 0..K-1 by first appearance."""
+    """Load a whole file; labels remapped to 0..K-1 by first appearance.
+
+    The file is read line by line. LIBSVM entries go into flat index and
+    value arrays, scattered into the dense matrix once at the end.
+    """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    rows = []
+    rows = []  # CSV feature rows
+    cols, values, counts = array("q"), array("d"), array("q")  # LIBSVM entries
     raw_labels = []
     linenos = []
     width = None
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            if fmt == "csv":
-                features, label = parse_csv_row(stripped)
-                if width is None:
-                    width = features.shape[0]
-                elif features.shape[0] != width:
-                    raise ValueError(
-                        f"expected {width} feature columns, got {features.shape[0]}"
-                    )
-                rows.append(features)
-            else:
-                pairs, label = parse_libsvm_line(stripped)
-                rows.append(pairs)
-            raw_labels.append(label)
-            linenos.append(lineno)
-        except ValueError as exc:
-            raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from None
-    if not rows:
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            try:
+                if fmt == "csv":
+                    features, label = parse_csv_row(stripped)
+                    if width is None:
+                        width = features.shape[0]
+                    elif features.shape[0] != width:
+                        raise ValueError(
+                            f"expected {width} feature columns, got {features.shape[0]}"
+                        )
+                    rows.append(features)
+                else:
+                    pairs, label = parse_libsvm_line(stripped)
+                    counts.append(len(pairs))
+                    if pairs:
+                        row_cols, row_values = zip(*pairs)
+                        cols.extend(row_cols)
+                        values.extend(row_values)
+                raw_labels.append(label)
+                linenos.append(lineno)
+            except ValueError as exc:
+                raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from None
+    if not raw_labels:
         raise DatasetFormatError(f"{path}: no data rows")
     if fmt == "libsvm":
-        width = max((i for pairs in rows for i, _ in pairs), default=-1) + 1
-        X = np.zeros((len(rows), width))
-        for rix, pairs in enumerate(rows):
-            for i, v in pairs:
-                X[rix, i] = v
+        cols = np.frombuffer(cols, dtype=np.int64)
+        X = np.zeros((len(raw_labels), int(cols.max()) + 1 if cols.size else 0))
+        entry_rows = np.repeat(np.arange(len(raw_labels)), np.frombuffer(counts, dtype=np.int64))
+        X[entry_rows, cols] = np.frombuffer(values, dtype=float)
     else:
         X = np.stack(rows)
     # one vectorized pass over the assembled matrix keeps large files fast

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from proxfw.autodiff import Ref, Tape, backward_grad, fd_gradient_oracle, forward_eval
+from proxfw.autodiff import _RULES, Ref, Tape, backward_grad, fd_gradient_oracle, forward_eval
 from proxfw.models import ModelSpec
 
 from helpers import head_value, hinge_objective_ref
@@ -85,6 +85,16 @@ def test_nodes_from_different_tapes_cannot_mix():
         _ = a + b
 
 
+def test_backward_at_a_node_of_another_tape_is_rejected():
+    # y's index names t1's 2 * w0 node, whose gradient t1 would return
+    t1, t2 = Tape(2), Tape(2)
+    _ = t1.param(0) * 2.0 + t1.param(1) * 5.0
+    y = t2.param(1) * 3.0
+    t1.forward(np.ones(2))
+    with pytest.raises(ValueError, match="different tapes"):
+        t1.backward(seed=1.0, at=y)
+
+
 def test_backward_is_deterministic_bitwise():
     rng = np.random.default_rng(3)
     model = ModelSpec("mlp", input_dim=5, num_classes=4, hidden_dims=(6,))
@@ -135,6 +145,65 @@ def test_jvp_matches_gradient_on_smooth_tape():
     g = tape.backward()
     assert np.isclose(float(tan), float(g @ dw), rtol=1e-12)
     assert np.isclose(float(val), float(forward_eval(tape, w)))
+
+
+UNARY = [((),), ((3,),), ((2, 3),)]
+BINARY = [((), ()), ((3,), ()), ((3,), (3,)), ((2, 3), (3,)), ((2, 3), (1, 3)), ((2, 3), (2, 3))]
+# (op, build, operand shapes): every operation a Ref can push, at every
+# operand rank it accepts
+PRIMITIVE_CASES = [
+    *[("add", lambda a, b: a + b, shapes) for shapes in BINARY],
+    *[("sub", lambda a, b: a - b, shapes) for shapes in BINARY],
+    *[("mul", lambda a, b: a * b, shapes) for shapes in BINARY],
+    *[
+        ("matmul", lambda a, b: a @ b, shapes)
+        for shapes in [((3,), (3,)), ((2, 3), (3,)), ((3,), (3, 2)), ((2, 3), (3, 2))]
+    ],
+    *[("neg", lambda a: -a, shapes) for shapes in UNARY],
+    *[(op, getattr(Ref, op), shapes) for op in ("relu", "exp", "log") for shapes in UNARY],
+    *[(op, getattr(Ref, op), shapes) for op in ("max", "rowsum", "total") for shapes in UNARY],
+    ("select", lambda a: a.select(2), ((3,),)),
+    ("select", lambda a: a.select([2, 0]), ((2, 3),)),
+    *[("reshape", lambda a: a.reshape((-1, 1)), shapes) for shapes in UNARY],
+]
+
+
+@pytest.mark.parametrize("op", sorted({case[0] for case in PRIMITIVE_CASES}))
+def test_every_primitive_at_every_rank_matches_finite_differences(op):
+    # backward and jvp against the central-difference oracle; each operand
+    # of a binary op is in turn a constant, so the sweeps that skip an
+    # operand run too
+    rng = np.random.default_rng(len(op))
+    for _, build, shapes in (case for case in PRIMITIVE_CASES if case[0] == op):
+        sizes = [int(np.prod(shape)) for shape in shapes]
+        for constant in (None, 0, 1) if len(shapes) == 2 else (None,):
+            tape = Tape(sum(sizes))
+            operands = [
+                tape.constant(rng.normal(size=shape))
+                if k == constant
+                else tape.param(sum(sizes[:k]), shape)
+                for k, shape in enumerate(shapes)
+            ]
+            out = build(*operands)
+            assert tape.nodes[out.index].op == op
+            w = rng.normal(size=tape.num_params)
+            w = np.abs(w) + 0.5 if op == "log" else w
+            dw = rng.normal(size=w.size)
+            value = tape.forward(w)
+            seed = rng.normal(size=value.shape)
+            g = tape.backward(seed=seed, at=out)
+            _, tangent = tape.jvp(w, dw)
+            oracle = fd_gradient_oracle(lambda v: np.sum(seed * tape.forward(v)), w)
+            case = (shapes, constant)
+            assert tangent.shape == value.shape, case
+            assert np.allclose(g, oracle, rtol=1e-6, atol=1e-8), case
+            assert np.isclose(np.sum(seed * tangent), oracle @ dw, rtol=1e-6, atol=1e-8), case
+
+
+def test_every_op_a_ref_can_push_has_exactly_one_rule():
+    methods = {name for name, f in vars(Ref).items() if callable(f) and not name.startswith("_")}
+    pushed = {case[0] for case in PRIMITIVE_CASES}
+    assert methods <= pushed == set(_RULES)
 
 
 def every_op_tape(X, x_as_param=False):

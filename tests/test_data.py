@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,25 @@ def test_csv_and_libsvm_files_round_trip_bitwise(tmp_path_factory, data):
         assert loaded.X.shape == expect[fmt].shape
         assert loaded.X.tobytes() == expect[fmt].tobytes()
         assert loaded.y.tolist() == y
+
+
+def test_libsvm_load_peaks_at_a_few_copies_of_the_matrix(tmp_path):
+    # the flat index and value arrays, their row numbers and X peak at
+    # about 4.5 times X's bytes on a dense 2000 x 32 file; keeping each row
+    # as a list of (index, value) tuples peaked at 15.4 times
+    X = np.random.default_rng(31).normal(size=(2000, 32))
+    path = tmp_path / "dense.svm"
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, row in enumerate(X.tolist()):
+            fh.write(f"{i % 4} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row)) + "\n")
+    tracemalloc.start()
+    try:
+        data = load_dataset(path, "libsvm")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.X.tobytes() == X.tobytes()
+    assert peak <= 8 * X.nbytes
 
 
 def test_empty_file_rejected(tmp_path):
