@@ -23,7 +23,9 @@ relu's derivative mask (read from its output: ``out > 0`` exactly when
 ``in > 0``, NaN and -0.0 included) are aux values, made once per
 forward cache. Max reduces the last axis and routes its adjoint to the
 lowest-index maximizer, relu has derivative 0 at 0, and on a 0-d operand
-max and rowsum are the identity.
+max and rowsum are the identity. Max and matmul take operands of rank
+at most 2; ``forward`` rejects higher ranks, which their adjoints do not
+handle.
 
 Sweeps skip the nodes that depend on no parameter: ``backward`` computes
 no adjoint into them (the input matrix of a first layer, say) and
@@ -140,6 +142,25 @@ def _matmul_b(g, a, b, v, x):
     return np.outer(a, g) if b.ndim == 2 else g * a
 
 
+def _rank_error(op, *operands):
+    # the matmul and max adjoints assume rank <= 2; a 3-d operand would
+    # broadcast into a wrong gradient or crash the reverse sweep
+    shapes = " and ".join(str(x.shape) for x in operands)
+    return ValueError(f"{op} takes operands of rank <= 2, got shapes {shapes}")
+
+
+def _matmul(a, b, p, out):
+    if a.ndim > 2 or b.ndim > 2:
+        raise _rank_error("matmul", a, b)
+    return a @ b
+
+
+def _max(a, b, p, out):
+    if a.ndim > 2:
+        raise _rank_error("max", a)
+    return np.max(a, axis=-1)
+
+
 def _spread(g, a, b, v, x):
     # adjoint of rowsum: g repeated along a's last axis, if a has one
     return g if a.ndim == 0 else np.broadcast_to(np.expand_dims(g, -1), a.shape)
@@ -169,9 +190,7 @@ _RULES = {
         _bilinear,
     ),
     "neg": _Rule(lambda a, b, p, out: -a, (lambda g, a, b, v, x: -g,), _linear),
-    "matmul": _Rule(
-        lambda a, b, p, out: a @ b, (_matmul_a, _matmul_b), _bilinear, overwritable=True
-    ),
+    "matmul": _Rule(_matmul, (_matmul_a, _matmul_b), _bilinear, overwritable=True),
     "relu": _Rule(
         lambda a, b, p, out: np.maximum(a, 0.0, out=out),
         (lambda g, a, b, v, x: g * x,),
@@ -182,7 +201,7 @@ _RULES = {
     "exp": _Rule(lambda a, b, p, out: np.exp(a), (lambda g, a, b, v, x: g * v,), _pointwise),
     "log": _Rule(lambda a, b, p, out: np.log(a), (lambda g, a, b, v, x: g / a,), _pointwise),
     "max": _Rule(
-        lambda a, b, p, out: np.max(a, axis=-1),
+        _max,
         (_scatter,),
         _gathered,
         aux=lambda a, v, p: _gather(a, np.argmax(a, axis=-1)) if a.ndim else (),

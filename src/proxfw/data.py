@@ -6,8 +6,9 @@ every feature dimension; "spirals" interleaves class arms in the first
 two dimensions. Both are fully determined by their seed.
 
 File loaders parse the whole file strictly (malformed rows, non-finite
-features and repeated LIBSVM indices are reported with their line
-number) and remap labels to 0..K-1 in order of first appearance.
+features, repeated LIBSVM indices and LIBSVM files whose dense matrix
+would pass ``MAX_DENSE_ENTRIES`` are reported with their line number)
+and remap labels to 0..K-1 in order of first appearance.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ __all__ = [
 
 FORMATS = ("csv", "libsvm")
 SYNTHETIC = ("blobs", "spirals")
+# a LIBSVM file is loaded as a dense float64 matrix; a matrix of more
+# entries than this (1 GiB) is refused, not allocated
+MAX_DENSE_ENTRIES = 2**27
 
 
 class DatasetFormatError(ValueError):
@@ -155,14 +159,15 @@ def parse_libsvm_line(line: str):
     """One LIBSVM line: ``label idx:value ...`` with 1-based indices.
 
     Returns ``(pairs, label)`` where pairs is a list of ``(index, value)``
-    with 0-based indices. A repeated index is an error.
+    with 0-based indices. A repeated index, or one outside
+    ``[1, MAX_DENSE_ENTRIES]``, is an error.
     """
     parts = line.split()
     if not parts:
         raise ValueError("empty line")
     try:
         label = int(float(parts[0]))
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: an infinite label
         raise ValueError(f"bad label {parts[0]!r}") from None
     pairs = []
     for tok in parts[1:]:
@@ -174,8 +179,8 @@ def parse_libsvm_line(line: str):
             v = float(val)
         except ValueError:
             raise ValueError(f"bad feature token {tok!r}") from None
-        if i < 1:
-            raise ValueError(f"feature index {i} must be >= 1")
+        if not 1 <= i <= MAX_DENSE_ENTRIES:
+            raise ValueError(f"feature index {i} must lie in [1, {MAX_DENSE_ENTRIES}]")
         pairs.append((i - 1, v))
     if len({i for i, _ in pairs}) < len(pairs):
         raise ValueError("duplicate feature index")
@@ -225,8 +230,16 @@ def load_dataset(path, fmt: str = "csv") -> Dataset:
         raise DatasetFormatError(f"{path}: no data rows")
     if fmt == "libsvm":
         cols = np.frombuffer(cols, dtype=np.int64)
-        X = np.zeros((len(raw_labels), int(cols.max()) + 1 if cols.size else 0))
-        entry_rows = np.repeat(np.arange(len(raw_labels)), np.frombuffer(counts, dtype=np.int64))
+        counts = np.frombuffer(counts, dtype=np.int64)
+        n, d = len(raw_labels), int(cols.max()) + 1 if cols.size else 0
+        if n * d > MAX_DENSE_ENTRIES:
+            widest = np.searchsorted(np.cumsum(counts), cols.argmax(), side="right")
+            raise DatasetFormatError(
+                f"{path}: line {linenos[widest]}: feature index {d} makes a dense "
+                f"{n} x {d} matrix, past the limit of {MAX_DENSE_ENTRIES} entries"
+            )
+        X = np.zeros((n, d))
+        entry_rows = np.repeat(np.arange(n), counts)
         X[entry_rows, cols] = np.frombuffer(values, dtype=float)
     else:
         X = np.stack(rows)

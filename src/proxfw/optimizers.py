@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import nonnegative, positive, unchecked
+from ._checks import nonnegative, positive
 from .losses import _check_mode, cross_entropy_batch, one_hot, softmax_batch
 from .models import batch_arrays
 from .proximal import _direction_terms, single_step_size
@@ -34,9 +34,13 @@ __all__ = [
     "effective_lr",
     "default_lr_schedule",
     "BASELINE_KINDS",
+    "MOMENT_COUNTS",
 ]
 
-BASELINE_KINDS = ("sgd", "adagrad", "adam", "amsgrad")
+# moment buffers per kind: adagrad's squared-gradient sum; adam's first and
+# second moments; amsgrad's two plus the running maximum of the second
+MOMENT_COUNTS = {"sgd": 0, "adagrad": 1, "adam": 2, "amsgrad": 3}
+BASELINE_KINDS = tuple(MOMENT_COUNTS)
 LOSSES = ("svm", "ce")
 
 # Nesterov velocity coefficient and weight decay unless a run sets them
@@ -54,6 +58,17 @@ def _check_hyperparameters(rate_name: str, rate: float, momentum: float, l2: flo
     if not 0.0 <= momentum < 1.0:
         raise ValueError(f"momentum must lie in [0, 1), got {momentum!r}")
     nonnegative("l2", l2)
+
+
+def _buffer(name: str, value, w: np.ndarray) -> np.ndarray:
+    """A state buffer beside ``w``: zeros when ``value`` is None, else
+    ``value`` as floats, which must have ``w``'s shape."""
+    if value is None:
+        return np.zeros_like(w)
+    value = np.asarray(value, dtype=float)
+    if value.shape != w.shape:
+        raise ValueError(f"{name} must have the shape of w {w.shape}, got {value.shape}")
+    return value
 
 
 @dataclass
@@ -77,10 +92,7 @@ class DFWState:
         self.w = np.asarray(self.w, dtype=float)
         _check_hyperparameters("eta", self.eta, self.momentum, self.l2)
         _check_mode(self.mode)
-        if self.velocity is None:
-            self.velocity = np.zeros_like(self.w)
-        else:
-            self.velocity = np.asarray(self.velocity, dtype=float)
+        self.velocity = _buffer("velocity", self.velocity, self.w)
 
 
 @dataclass
@@ -94,11 +106,14 @@ class StepDiagnostics:
 
 
 def _advanced(state, **changes):
-    """``state`` with ``changes`` applied and its step counted; the fields a
-    step computes are not checked again."""
-    return unchecked(
-        type(state), {**vars(state), **changes, "step_count": state.step_count + 1}
-    )
+    """``state`` with ``changes`` applied and its step counted.
+
+    Skips ``__post_init__``: the fields a step computes come from its own
+    checked inputs, so they are not checked again.
+    """
+    new = object.__new__(type(state))
+    new.__dict__.update(vars(state), **changes, step_count=state.step_count + 1)
+    return new
 
 
 def _nesterov(state, velocity_step, w_step):
@@ -133,7 +148,8 @@ class BaselineState:
     ``loss`` is the training objective, "svm" (multiclass hinge) or "ce".
     ``schedule`` is a tuple of ``(epoch, multiplier)`` pairs; every pair
     whose epoch has been reached multiplies the base learning rate. The
-    harness advances ``epoch``.
+    harness advances ``epoch``. ``moments`` holds the ``MOMENT_COUNTS[kind]``
+    adaptive buffers, zeros unless given.
     """
 
     kind: str
@@ -146,10 +162,7 @@ class BaselineState:
     epoch: int = 0
     step_count: int = 0
     velocity: np.ndarray | None = None
-    accum: np.ndarray | None = None
-    m1: np.ndarray | None = None
-    m2: np.ndarray | None = None
-    m2_max: np.ndarray | None = None
+    moments: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in BASELINE_KINDS:
@@ -159,17 +172,14 @@ class BaselineState:
         self.w = np.asarray(self.w, dtype=float)
         _check_hyperparameters("lr", self.lr, self.momentum, self.l2)
         self.schedule = checked_schedule(self.schedule)
-        if self.velocity is None:
-            self.velocity = np.zeros_like(self.w)
-        if self.kind == "adagrad" and self.accum is None:
-            self.accum = np.zeros_like(self.w)
-        if self.kind in ("adam", "amsgrad"):
-            if self.m1 is None:
-                self.m1 = np.zeros_like(self.w)
-            if self.m2 is None:
-                self.m2 = np.zeros_like(self.w)
-            if self.kind == "amsgrad" and self.m2_max is None:
-                self.m2_max = np.zeros_like(self.w)
+        self.velocity = _buffer("velocity", self.velocity, self.w)
+        count = MOMENT_COUNTS[self.kind]
+        moments = (None,) * count if self.moments is None else tuple(self.moments)
+        if len(moments) != count:
+            raise ValueError(
+                f"moments of a {self.kind} state must hold {count} buffers, got {len(moments)}"
+            )
+        self.moments = tuple(_buffer(f"moments[{i}]", m, self.w) for i, m in enumerate(moments))
 
 
 def effective_lr(state: BaselineState) -> float:
@@ -235,22 +245,23 @@ def adaptive_baseline_step(state: BaselineState, batch, model):
     lr = effective_lr(state)
     t = state.step_count + 1
     if state.kind == "adagrad":
-        accum = state.accum + g * g
+        accum = state.moments[0] + g * g
         w = state.w - lr * g / np.sqrt(accum + ADAGRAD_EPS)
-        new_state = _advanced(state, w=w, accum=accum)
+        moments = (accum,)
     else:
-        m1 = ADAM_BETA1 * state.m1 + (1.0 - ADAM_BETA1) * g
-        m2 = ADAM_BETA2 * state.m2 + (1.0 - ADAM_BETA2) * (g * g)
+        m1 = ADAM_BETA1 * state.moments[0] + (1.0 - ADAM_BETA1) * g
+        m2 = ADAM_BETA2 * state.moments[1] + (1.0 - ADAM_BETA2) * (g * g)
         if state.kind == "adam":
             m1_hat = m1 / (1.0 - ADAM_BETA1**t)
             m2_hat = m2 / (1.0 - ADAM_BETA2**t)
             w = state.w - lr * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
-            new_state = _advanced(state, w=w, m1=m1, m2=m2)
+            moments = (m1, m2)
         else:
             # keeps the largest second moment seen, no bias correction
-            m2_max = np.maximum(state.m2_max, m2)
+            m2_max = np.maximum(state.moments[2], m2)
             w = state.w - lr * m1 / (np.sqrt(m2_max) + ADAM_EPS)
-            new_state = _advanced(state, w=w, m1=m1, m2=m2, m2_max=m2_max)
+            moments = (m1, m2, m2_max)
+    new_state = _advanced(state, w=w, moments=moments)
     return new_state, StepDiagnostics(
         step_size=None, mean_loss=mean_loss, switched=0, batch_size=n
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import nonnegative, positive, unchecked
+from ._checks import nonnegative, positive
 from .losses import (
     augmented_scores_batch,
     dual_direction_batch,
@@ -236,7 +236,7 @@ def proximal_fw_solve(
         S, _ = dual_direction_batch(lin_aug, lin_scores, mode)
         lam_s = float((S * aug0).sum() / n)
         delta = tape.backward(seed=(S - onehot) / n, at=ref)
-        vertex = unchecked(DualVertex, {"w": -eta * (r + delta), "lam": lam_s})
+        vertex = DualVertex(w=-eta * (r + delta), lam=lam_s)
 
         # exact Frank-Wolfe certificate: directional slack of the best
         # vertex over the current iterate, computed from primal mirrors
@@ -249,15 +249,9 @@ def proximal_fw_solve(
 
         gamma = optimal_step_size(state, vertex)
         diag.step_sizes.append(gamma)
-        state = unchecked(
-            ProximalState,
-            {
-                "w0": w0,
-                "w": (1.0 - gamma) * state.w + gamma * (vertex.w + w0),
-                "lam": (1.0 - gamma) * state.lam + gamma * vertex.lam,
-                "eta": eta,
-            },
-        )
+        # the iterate built above stays checked: only w and lam move
+        state.w = (1.0 - gamma) * state.w + gamma * (vertex.w + w0)
+        state.lam = (1.0 - gamma) * state.lam + gamma * vertex.lam
         diag.dual_objectives.append(dual_objective(state))
         diag.iterations += 1
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -198,6 +199,32 @@ def test_every_primitive_at_every_rank_matches_finite_differences(op):
             assert tangent.shape == value.shape, case
             assert np.allclose(g, oracle, rtol=1e-6, atol=1e-8), case
             assert np.isclose(np.sum(seed * tangent), oracle @ dw, rtol=1e-6, atol=1e-8), case
+
+
+@pytest.mark.parametrize(
+    "op,shapes,constant",
+    [
+        ("matmul", [(2, 3, 2), (2, 3)], None),
+        ("matmul", [(2, 3, 2), (2, 3)], 1),
+        ("matmul", [(2, 3), (2, 3, 2)], None),
+        ("matmul", [(2, 3), (2, 3, 2)], 0),
+        ("max", [(3, 3, 2)], None),
+    ],
+    ids=["matmul-a", "matmul-a-const-b", "matmul-b", "matmul-b-const-a", "max"],
+)
+def test_rank_3_operands_of_matmul_and_max_are_rejected_in_forward(op, shapes, constant):
+    # their adjoints assume rank <= 2: a rank-3 operand gave a wrong gradient
+    # (matmul with a constant right operand) or crashed backward (max)
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    tape = Tape(sum(sizes))
+    operands = [
+        tape.constant(np.ones(shape)) if k == constant else tape.param(sum(sizes[:k]), shape)
+        for k, shape in enumerate(shapes)
+    ]
+    _ = operands[0] @ operands[1] if op == "matmul" else operands[0].max()
+    shown = " and ".join(str(shape) for shape in shapes)
+    with pytest.raises(ValueError, match=re.escape(f"{op} takes operands of rank <= 2, got shapes {shown}")):
+        tape.forward(np.ones(tape.num_params))
 
 
 def test_every_op_a_ref_can_push_has_exactly_one_rule():

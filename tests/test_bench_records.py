@@ -46,3 +46,55 @@ def test_seed_lists_parse_as_written():
     tool = _tool()
     assert tool.parse_seeds("600-603,7") == [600, 601, 602, 603, 7]
     assert tool.quartiles([4.0, 1.0, 3.0, 2.0]) == (1.75, 2.5, 3.25)
+
+
+def _block(**sides):
+    # a recorded block reduced to what reference_report reads
+    return {"sides": {name: {"runs": [{"counts": {"reference_s": ms / 1e3}} for ms in refs]}
+                      for name, refs in sides.items()}}
+
+
+@pytest.mark.parametrize(
+    "parent, change, warned",
+    [
+        ([6.9, 7.6, 5.9], [5.8, 5.5, 5.6], True),  # ranges apart
+        ([6.6, 6.1, 7.3], [5.1, 4.2, 6.2], True),  # ranges overlap, medians outside them
+        ([6.9, 7.6, 5.9], [6.9, 6.3, 7.3], False),  # one mode on both sides
+        ([6.9, 7.6, 6.2], [6.2, 5.5, 5.6], True),  # ranges share one point
+    ],
+)
+def test_reference_medians_outside_the_other_range_are_warned_about(parent, change, warned):
+    line, warning = _tool().reference_report("dfw_blobs", _block(parent=parent, change=change))
+    shown = ", ".join(
+        f"{name} {sorted(ms)[1]:.2f} [{min(ms):.2f}-{max(ms):.2f}]"
+        for name, ms in (("parent", parent), ("change", change))
+    )
+    assert line == f"dfw_blobs reference_s ms, median [range]: {shown}"
+    assert (warning is not None) == warned
+    if warned:
+        assert warning.startswith(f"warning: dfw_blobs: a side's reference_s median lies outside another side's range ({shown} ms)")
+
+
+def test_the_record_tool_prints_reference_ranges_and_warns_on_stderr(monkeypatch, tmp_path, capsys):
+    tool = _tool()
+    refs = {"parent": iter([6.6, 6.1, 7.3]), "change": iter([5.1, 4.2, 6.2])}
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        side = Path(checkout).name
+        return {"seed": seed, "attempted": 1, "failed": 0, "metrics": {"m": 1.0}, "units": {"m": "1"},
+                "environment": {}, "counts": {"reference_s": next(refs[side]) / 1e3}}
+
+    def copy_side(spec, dest):
+        name, _, _ = spec.partition("=")
+        return name, tmp_path, tmp_path / name
+
+    monkeypatch.setattr(tool, "run_once", run_once)
+    monkeypatch.setattr(tool, "_copy_side", copy_side)
+    monkeypatch.setattr(tool, "describe_side", lambda checkout: {})
+    monkeypatch.setattr(tool, "check_record", lambda record: None)
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "workloads": [{"name": "dfw_blobs"}]}))
+    tool.main(["--out", str(tmp_path / "BENCH_0.json"), "--side", "parent=.", "--side", "change=.", "--seeds", "1-3"])
+    out, err = capsys.readouterr()
+    assert "dfw_blobs reference_s ms, median [range]: parent 6.60 [6.10-7.30], change 5.10 [4.20-6.20]" in out
+    assert "warning: dfw_blobs: a side's reference_s median lies outside" in err

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from proxfw import data as data_module
 from proxfw.data import (
+    MAX_DENSE_ENTRIES,
     Dataset,
     DatasetFormatError,
     generate_synthetic,
@@ -81,8 +83,9 @@ def test_malformed_rows_name_the_line(tmp_path):
         ("csv", "-inf,2.0,1", "non-finite feature value"),
         ("libsvm", "1 2:inf", "non-finite feature value"),
         ("libsvm", "0 1:1.0 1:2.0", "duplicate feature index"),
+        ("libsvm", "1e400 1:2.0", "bad label '1e400'"),
     ],
-    ids=["csv-nan", "csv-inf", "libsvm-inf", "libsvm-duplicate"],
+    ids=["csv-nan", "csv-inf", "libsvm-inf", "libsvm-duplicate", "libsvm-infinite-label"],
 )
 def test_bad_values_name_the_line(tmp_path, fmt, bad_line, reason):
     # the blank line checks that line numbers count every line of the file
@@ -91,6 +94,35 @@ def test_bad_values_name_the_line(tmp_path, fmt, bad_line, reason):
     p.write_text(f"{good}\n\n{bad_line}\n{good}\n")
     with pytest.raises(DatasetFormatError, match=f"line 3: {reason}"):
         load_dataset(p, fmt)
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("0 1:1.0\n1 9223372036854775808:2.0\n", "line 2: feature index 9223372036854775808 must lie in"),
+        ("0 1:1.0\n1 1000000000000:2.0\n", "line 2: feature index 1000000000000 must lie in"),
+        (f"0 {MAX_DENSE_ENTRIES}:1.0\n1 1:2.0\n", f"line 1: feature index {MAX_DENSE_ENTRIES} makes a dense 2 x"),
+        (f"0 1:1.0\n1 {MAX_DENSE_ENTRIES}:2.0\n", f"line 2: feature index {MAX_DENSE_ENTRIES} makes a dense 2 x"),
+    ],
+    ids=["past-int64", "index-1e12", "dense-size-line-1", "dense-size-line-2"],
+)
+def test_libsvm_indices_past_the_dense_limit_name_their_line(tmp_path, text, reason):
+    # refused before any matrix is allocated; the dense-size message names
+    # the line that holds the largest index, not the last line read
+    p = tmp_path / "d.svm"
+    p.write_text(text)
+    with pytest.raises(DatasetFormatError, match=reason):
+        load_dataset(p, "libsvm")
+
+
+def test_libsvm_dense_limit_admits_a_matrix_of_exactly_that_size(tmp_path, monkeypatch):
+    monkeypatch.setattr(data_module, "MAX_DENSE_ENTRIES", 6)
+    p = tmp_path / "d.svm"
+    p.write_text("0 3:1.0\n1 1:2.0\n")
+    assert load_dataset(p, "libsvm").X.shape == (2, 3)
+    p.write_text("0 4:1.0\n1 1:2.0\n")
+    with pytest.raises(DatasetFormatError, match="line 1: feature index 4 makes a dense 2 x 4 matrix, past the limit of 6"):
+        load_dataset(p, "libsvm")
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from proxfw.models import ModelSpec, Sample, ToyBinaryModel, init_params
 from proxfw.proximal import proximal_fw_solve
 from proxfw.optimizers import (
     BASELINE_KINDS,
+    MOMENT_COUNTS,
     BaselineState,
     DFWState,
     StepDiagnostics,
@@ -182,7 +185,7 @@ def test_adagrad_first_step_worked_example():
     g = np.array([3.0, -3.0, 0.0, 0.0])
     assert np.array_equal(new.w, -0.1 * g / np.sqrt(g * g + 1e-10))
     assert np.allclose(new.w, [-0.1, 0.1, 0.0, 0.0], atol=1e-8)
-    assert np.array_equal(new.accum, g * g)
+    assert np.array_equal(new.moments[0], g * g)
 
 
 def test_adam_zero_gradient_is_noop():
@@ -206,13 +209,13 @@ def test_amsgrad_second_moment_cap_is_monotone():
     model = ModelSpec("mlp", input_dim=3, num_classes=3, hidden_dims=(4,))
     data = generate_synthetic("blobs", 48, 0, 0, d=3, num_classes=3, noise=1.0, seed=6)
     state = BaselineState(kind="amsgrad", w=init_params(model, seed=1), lr=0.01)
-    prev = state.m2_max.copy()
+    prev = state.moments[2].copy()
     for _ in range(40):
         idx = rng.integers(0, 48, size=6)
         state, _ = adaptive_baseline_step(state, (data.train.X[idx], data.train.y[idx]), model)
-        assert np.all(state.m2_max >= prev)
+        assert np.all(state.moments[2] >= prev)
         assert np.isfinite(state.w).all()
-        prev = state.m2_max.copy()
+        prev = state.moments[2].copy()
     assert prev.max() > 0
 
 
@@ -225,6 +228,37 @@ def test_baseline_state_validation():
         sgd_nesterov_step(BaselineState(kind="adam", w=np.zeros(1), lr=0.1), TOY_BATCH, TOY)
     with pytest.raises(ValueError):
         adaptive_baseline_step(BaselineState(kind="sgd", w=np.zeros(1), lr=0.1), TOY_BATCH, TOY)
+
+
+BUFFERS = [("dfw", "velocity"), ("sgd", "velocity")] + [
+    (kind, f"moments[{i}]") for kind in ("adagrad", "adam", "amsgrad") for i in range(MOMENT_COUNTS[kind])
+]
+
+
+@pytest.mark.parametrize("shape", [(1,), (6, 1)])
+@pytest.mark.parametrize("kind,field", BUFFERS, ids=lambda v: v)
+def test_a_buffer_not_shaped_like_w_is_rejected_by_name(kind, field, shape):
+    bad = np.ones(shape)
+    if field == "velocity":
+        buffers = {"velocity": bad}
+    else:
+        moments = [None] * MOMENT_COUNTS[kind]
+        moments[int(field[-2])] = bad
+        buffers = {"moments": tuple(moments)}
+    with pytest.raises(ValueError, match=re.escape(f"{field} must have the shape of w (6,), got {shape}")):
+        if kind == "dfw":
+            DFWState(w=np.zeros(6), eta=0.1, **buffers)
+        else:
+            BaselineState(kind=kind, w=np.zeros(6), lr=0.1, **buffers)
+
+
+@pytest.mark.parametrize(
+    "kind,length",
+    [(kind, n) for kind in BASELINE_KINDS for n in range(4) if n != MOMENT_COUNTS[kind]],
+)
+def test_moments_of_another_kind_are_rejected(kind, length):
+    with pytest.raises(ValueError, match=f"moments of a {kind} state must hold {MOMENT_COUNTS[kind]} buffers"):
+        BaselineState(kind=kind, w=np.zeros(2), lr=0.1, moments=(np.zeros(2),) * length)
 
 
 def test_default_lr_schedule_marks():
@@ -296,8 +330,14 @@ def step_of(kind):
     return BaselineState(kind=kind, w=w, lr=0.1), step
 
 
+def _raw(value):
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    return tuple(map(_raw, value)) if isinstance(value, tuple) else value
+
+
 def _snapshot(obj):
-    return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(obj).items()}
+    return {k: _raw(v) for k, v in vars(obj).items()}
 
 
 @pytest.mark.parametrize("kind", ("dfw",) + BASELINE_KINDS)
@@ -316,6 +356,22 @@ def test_every_step_returns_state_and_diagnostics(kind):
     assert (diag.step_size is None) == (kind != "dfw")
     if kind != "dfw":
         assert diag.switched == 0
+
+
+@pytest.mark.parametrize("kind", ("dfw",) + BASELINE_KINDS)
+def test_a_state_rebuilt_through_its_constructor_steps_bit_identically(kind):
+    # w, velocity, moments and step_count fully determine the next steps
+    state, step = step_of(kind)
+    rng = np.random.default_rng(3)
+    batches = [(rng.normal(size=(6, 3)), rng.integers(0, 4, size=6)) for _ in range(6)]
+    for batch in batches[:3]:
+        state, _ = step(state, batch, STEP_MODEL)
+    rebuilt = type(state)(**vars(state))
+    for batch in batches[3:]:
+        state, diag = step(state, batch, STEP_MODEL)
+        rebuilt, rebuilt_diag = step(rebuilt, batch, STEP_MODEL)
+        assert _snapshot(rebuilt) == _snapshot(state)
+        assert vars(rebuilt_diag) == vars(diag)
 
 
 @pytest.mark.parametrize("label", [-1, 4])

@@ -22,6 +22,12 @@ the untraced run length are those of ``BENCHMARK.json``; traced runs
 The record also keeps, per run, perfbench's ``# environment`` and
 ``# counts`` lines, and per side the git revision, whether the checkout
 had uncommitted changes, and a SHA-256 of its ``src/proxfw`` sources.
+
+After each workload the tool prints every side's ``reference_s`` median
+and range, and warns on stderr when one side's median lies outside
+another side's range (as it does whenever two ranges do not overlap):
+the reference kernel has two timing modes, and a side that ran in the
+other one skews every ``ref``-normalized metric.
 """
 
 from __future__ import annotations
@@ -146,6 +152,31 @@ def record_block(checkouts, workload, seeds, seconds, trace, log) -> dict:
     return {"seconds": seconds, "seeds": list(seeds), "order": order, "sides": sides}
 
 
+def reference_report(workload, block) -> tuple:
+    """``(line, warning)`` on the ``reference_s`` of an untraced block's runs.
+
+    The line gives each side's median and range in ms. The warning is None
+    unless a side's median lies outside another side's range, which holds
+    whenever two ranges do not overlap: the sides then most likely ran the
+    reference kernel in different timing modes, and every ``ref``-normalized
+    metric of the block compares those modes as much as the sides.
+    """
+    spans = {}
+    for name, side in block["sides"].items():
+        refs = [run["counts"]["reference_s"] * 1e3 for run in side["runs"]]
+        spans[name] = (quartiles(refs)[1], min(refs), max(refs))
+    shown = ", ".join(f"{name} {m:.2f} [{lo:.2f}-{hi:.2f}]" for name, (m, lo, hi) in spans.items())
+    line = f"{workload} reference_s ms, median [range]: {shown}"
+    apart = any(not lo <= m <= hi for m, _, _ in spans.values() for _, lo, hi in spans.values())
+    warning = None
+    if apart:
+        warning = (
+            f"warning: {workload}: a side's reference_s median lies outside another side's range "
+            f"({shown} ms); the sides may have run the reference kernel in different modes"
+        )
+    return line, warning
+
+
 def check_record(record: dict) -> None:
     """Raise ValueError unless ``record`` has the layout this tool writes."""
 
@@ -233,6 +264,11 @@ def main(argv=None) -> int:
             if args.trace_seeds:
                 blocks["traced"] = record_block(checkouts, workload, args.trace_seeds, TRACE_SECONDS, True, log)
             record["workloads"][workload] = blocks
+            if "untraced" in blocks:  # traced runs time no reference kernel
+                line, warning = reference_report(workload, blocks["untraced"])
+                print(line, flush=True)
+                if warning:
+                    log(warning)
     check_record(record)
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
