@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 
 def positive(name: str, value) -> None:
     if not (math.isfinite(value) and value > 0):
@@ -12,3 +14,14 @@ def nonnegative(name: str, value) -> None:
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
+
+def integer_labels(values) -> np.ndarray:
+    """``values`` as an int array. A label that is not a whole number is an
+    error, not truncated; integer arrays pass unchecked."""
+    y = np.asarray(values)
+    if y.dtype.kind not in "biu":
+        y = y.astype(float)
+        bad = y[~(np.isfinite(y) & (y == np.trunc(y)))]
+        if bad.size:
+            raise ValueError(f"class labels must be whole numbers, got {float(bad[0])!r}")
+    return y.astype(int, copy=False)

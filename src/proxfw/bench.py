@@ -2,20 +2,18 @@
 
 A run is fully described by a :class:`RunConfig`; identical configs
 (including the seed) produce bit-identical metric files apart from the
-wall-time column. Per-epoch metrics follow a fixed CSV schema::
-
-    epoch,train_loss,train_acc,val_acc,mean_gamma,switch_fraction,wall_time_s
-
-with floats at 6 significant digits and empty fields where a column does
-not apply (step-size columns for baselines). Non-finite losses or
-parameters abort the run; completed epochs are kept and the run is
-flagged as diverged.
+wall-time column. The metrics and sweep CSV files have fixed schemas: the
+columns are the fields of :class:`EpochMetrics` and :class:`SweepRow`, in
+declaration order, with floats at 6 significant digits and empty fields
+where a column does not apply (step-size columns for baselines).
+Non-finite losses or parameters abort the run; completed epochs are kept
+and the run is flagged as diverged.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -37,9 +35,6 @@ __all__ = [
     "emit_sweep",
     "evaluate",
 ]
-
-METRICS_HEADER = "epoch,train_loss,train_acc,val_acc,mean_gamma,switch_fraction,wall_time_s"
-SWEEP_HEADER = "eta,best_val_acc,final_train_acc,final_train_loss,status"
 
 OPTIMIZERS = ("dfw",) + optimizers.BASELINE_KINDS
 DIRECTION_MODES = ("auto",) + losses.MODES
@@ -136,6 +131,15 @@ class SweepRow:
     status: str
 
 
+def _header(record_type) -> str:
+    # a CSV's columns are its record type's fields, in declaration order
+    return ",".join(f.name for f in fields(record_type))
+
+
+METRICS_HEADER = _header(EpochMetrics)
+SWEEP_HEADER = _header(SweepRow)
+
+
 def _validate(config: RunConfig):
     if config.optimizer not in OPTIMIZERS:
         raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {config.optimizer!r}")
@@ -165,6 +169,8 @@ def _build_model(config: RunConfig) -> models.ModelSpec:
 
 def evaluate(model, w, data, loss: str = "svm"):
     """Mean loss and accuracy of ``w`` on a :class:`~proxfw.data.Dataset`."""
+    if loss not in optimizers.LOSSES:
+        raise ValueError(f"loss must be one of {optimizers.LOSSES}, got {loss!r}")
     X = data.X
     if len(X) == 0:
         raise ValueError("cannot evaluate on an empty split")
@@ -176,21 +182,23 @@ def evaluate(model, w, data, loss: str = "svm"):
     )
     pred = np.argmax(F, axis=1)
     acc = float((pred == data.y).mean())
-    if loss == "ce":
-        val = float(losses.cross_entropy_batch(F, data.y).mean())
-    else:
-        val = float(losses.hinge_loss_batch(F, data.y).mean())
-    return val, acc
+    per_row = losses.cross_entropy_batch if loss == "ce" else losses.hinge_loss_batch
+    return float(per_row(F, data.y).mean()), acc
 
 
-def _init_state(config: RunConfig, model, mode: str, schedule: tuple):
-    """Initial optimizer state and the step function that advances it."""
+def _setup(config: RunConfig):
+    """Check every setting of ``config``; its model, the initial optimizer
+    state and the step function that advances it."""
+    _validate(config)
+    model = _build_model(config)
+    mode = config.resolved_mode(config.dataset.num_classes)
+    schedule = config.resolved_schedule()
     w0 = model.init_params(config.seed)
     if config.optimizer == "dfw":
         state = optimizers.DFWState(
             w=w0, eta=config.eta, momentum=config.momentum, l2=config.l2, mode=mode
         )
-        return state, optimizers.dfw_step
+        return model, state, optimizers.dfw_step
     state = optimizers.BaselineState(
         kind=config.optimizer,
         w=w0,
@@ -201,8 +209,8 @@ def _init_state(config: RunConfig, model, mode: str, schedule: tuple):
         schedule=schedule,
     )
     if config.optimizer == "sgd":
-        return state, optimizers.sgd_nesterov_step
-    return state, optimizers.adaptive_baseline_step
+        return model, state, optimizers.sgd_nesterov_step
+    return model, state, optimizers.adaptive_baseline_step
 
 
 def run_training(config: RunConfig) -> TrainResult:
@@ -212,11 +220,8 @@ def run_training(config: RunConfig) -> TrainResult:
     weight-initialization stream, so optimizers that share a seed see the
     same batch order.
     """
-    _validate(config)
+    model, state, step = _setup(config)
     data = config.dataset
-    model = _build_model(config)
-    mode = config.resolved_mode(data.num_classes)
-    state, step = _init_state(config, model, mode, config.resolved_schedule())
     shuffle_rng = np.random.default_rng([config.seed, _SHUFFLE_STREAM])
 
     metrics: list[EpochMetrics] = []
@@ -261,76 +266,59 @@ def run_training(config: RunConfig) -> TrainResult:
 
 
 def sensitivity_sweep(base: RunConfig, eta_grid) -> list:
-    """Run ``base`` once per distinct eta; failures never stop the sweep."""
+    """Run ``base`` once per distinct eta.
+
+    Every setting but eta is checked once, before the grid runs, and a bad
+    one raises ValueError. An eta that is not finite and positive makes an
+    ``error`` row; the other etas still run.
+    """
+    _setup(replace(base, eta=RunConfig.eta))  # base's own eta is replaced
+    nan = float("nan")
     rows = []
     for eta in dict.fromkeys(float(e) for e in eta_grid):
-        cfg = replace(base, eta=eta)
         try:
-            result = run_training(cfg)
-        except Exception:
-            rows.append(SweepRow(eta, float("nan"), float("nan"), float("nan"), "error"))
+            positive("eta", eta)
+        except ValueError:
+            rows.append(SweepRow(eta, nan, nan, nan, "error"))
             continue
+        result = run_training(replace(base, eta=eta))
         if result.metrics:
             best_val = max(m.val_acc for m in result.metrics)
             final_ta = result.metrics[-1].train_acc
             final_tl = result.metrics[-1].train_loss
         else:
-            best_val = final_ta = final_tl = float("nan")
-        rows.append(
-            SweepRow(
-                eta,
-                best_val,
-                final_ta,
-                final_tl,
-                "diverged" if result.diverged else "ok",
-            )
-        )
+            best_val = final_ta = final_tl = nan
+        status = "diverged" if result.diverged else "ok"
+        rows.append(SweepRow(eta, best_val, final_ta, final_tl, status))
     return rows
 
 
-def _fmt(x) -> str:
-    if x is None:
+def _field(value) -> str:
+    """One CSV field: None is blank, an int or a str is written as is, and a
+    float is ``nan`` or ``%.6g``."""
+    if value is None:
         return ""
-    x = float(x)
-    if np.isnan(x):
-        return "nan"
-    return f"{x:.6g}"
+    if isinstance(value, (int, str)):
+        return str(value)
+    value = float(value)
+    return "nan" if np.isnan(value) else f"{value:.6g}"
 
 
-def _write_csv(path, header: str, rows):
-    """Write ``header`` and one comma-joined line per row of fields."""
-    lines = [header] + [",".join(fields) for fields in rows]
+def _write_csv(path, record_type, records):
+    """Write the header of ``record_type`` and one line per record: its
+    fields in declaration order, each through :func:`_field`."""
+    names = [f.name for f in fields(record_type)]
+    lines = [_header(record_type)]
+    lines += [",".join(_field(getattr(record, name)) for name in names) for record in records]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def emit_metrics(metrics, path):
     """Write per-epoch metrics under the fixed CSV header."""
-    rows = [
-        [
-            str(int(m.epoch)),
-            _fmt(m.train_loss),
-            _fmt(m.train_acc),
-            _fmt(m.val_acc),
-            _fmt(m.mean_gamma),
-            _fmt(m.switch_fraction),
-            _fmt(m.wall_time_s),
-        ]
-        for m in metrics
-    ]
-    _write_csv(path, METRICS_HEADER, rows)
+    _write_csv(path, EpochMetrics, metrics)
 
 
 def emit_sweep(rows, path):
     """Write sweep rows under the fixed sweep CSV header."""
-    fields = [
-        [
-            _fmt(row.eta),
-            _fmt(row.best_val_acc),
-            _fmt(row.final_train_acc),
-            _fmt(row.final_train_loss),
-            row.status,
-        ]
-        for row in rows
-    ]
-    _write_csv(path, SWEEP_HEADER, fields)
+    _write_csv(path, SweepRow, rows)

@@ -6,9 +6,10 @@ every feature dimension; "spirals" interleaves class arms in the first
 two dimensions. Both are fully determined by their seed.
 
 File loaders parse the whole file strictly (malformed rows, non-finite
-features, repeated LIBSVM indices and LIBSVM files whose dense matrix
-would pass ``MAX_DENSE_ENTRIES`` are reported with their line number)
-and remap labels to 0..K-1 in order of first appearance.
+features, repeated LIBSVM indices, LIBSVM labels that are not whole
+numbers and LIBSVM files whose dense matrix would pass
+``MAX_DENSE_ENTRIES`` are reported with their line number) and remap
+labels to 0..K-1 in order of first appearance.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import nonnegative
+from ._checks import integer_labels, nonnegative
 
 __all__ = [
     "Dataset",
@@ -51,7 +52,7 @@ class Dataset:
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
-        self.y = np.asarray(self.y, dtype=int)
+        self.y = integer_labels(self.y)
         if self.X.ndim != 2 or self.X.shape[0] != self.y.shape[0]:
             raise ValueError("features and labels disagree in shape")
 
@@ -166,8 +167,10 @@ def parse_libsvm_line(line: str):
     if not parts:
         raise ValueError("empty line")
     try:
-        label = int(float(parts[0]))
-    except (ValueError, OverflowError):  # OverflowError: an infinite label
+        label = float(parts[0])
+        if not label.is_integer():  # 1.5, inf or nan names no class
+            raise ValueError
+    except ValueError:
         raise ValueError(f"bad label {parts[0]!r}") from None
     pairs = []
     for tok in parts[1:]:
@@ -184,7 +187,7 @@ def parse_libsvm_line(line: str):
         pairs.append((i - 1, v))
     if len({i for i, _ in pairs}) < len(pairs):
         raise ValueError("duplicate feature index")
-    return pairs, label
+    return pairs, int(label)
 
 
 def load_dataset(path, fmt: str = "csv") -> Dataset:

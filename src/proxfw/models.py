@@ -15,7 +15,9 @@ appended to one call's tape never reaches another call's.
 Parameter layout is fixed and documented: layers in input-to-output
 order, each layer storing its weight matrix ``(fan_in, fan_out)`` in
 C order followed by its bias vector. Biases are flagged by
-``weight_mask`` so regularizers can skip them.
+``weight_mask`` so regularizers can skip them. Each spec works the layout
+out once, as a slot table that ``param_count``, ``init_params``, the score
+program and the mask all read.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._checks import integer_labels
 from .autodiff import Ref, Tape
 
 __all__ = [
@@ -79,14 +82,21 @@ class ModelSpec:
         dims = (self.input_dim, *self.hidden_dims, self.num_classes)
         return list(zip(dims[:-1], dims[1:]))
 
+    @cached_property
+    def _slots(self) -> tuple:
+        """Where each layer lives in ``w``: ``(layers, length)``, one
+        ``(weight_start, fan_in, fan_out, bias_start or None)`` per layer and
+        the vector's total length."""
+        layers, start = [], 0
+        for fan_in, fan_out in self.layer_dims():
+            end = start + fan_in * fan_out
+            layers.append((start, fan_in, fan_out, end if self.bias else None))
+            start = end + fan_out if self.bias else end
+        return tuple(layers), start
+
     @property
     def param_count(self) -> int:
-        n = 0
-        for fan_in, fan_out in self.layer_dims():
-            n += fan_in * fan_out
-            if self.bias:
-                n += fan_out
-        return n
+        return self._slots[1]
 
     def weight_mask(self) -> np.ndarray:
         """Read-only boolean vector, True on weight slots, False on bias slots."""
@@ -100,10 +110,10 @@ class ModelSpec:
         """Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) weights, zero biases."""
         rng = np.random.default_rng(seed)
         parts = []
-        for fan_in, fan_out in self.layer_dims():
+        for _, fan_in, fan_out, bias_start in self._slots[0]:
             bound = np.sqrt(1.0 / fan_in)
             parts.append(rng.uniform(-bound, bound, size=fan_in * fan_out))
-            if self.bias:
+            if bias_start is not None:
                 parts.append(np.zeros(fan_out))
         return np.concatenate(parts)
 
@@ -113,16 +123,11 @@ class ModelSpec:
 
     def _build(self, tape: Tape, x_ref: Ref) -> Ref:
         out = x_ref
-        layers = self.layer_dims()
-        offset = 0
-        for li, (fan_in, fan_out) in enumerate(layers):
-            w_ref = tape.param(offset, (fan_in, fan_out))
-            offset += fan_in * fan_out
-            out = out @ w_ref
-            if self.bias:
-                b_ref = tape.param(offset, (fan_out,))
-                offset += fan_out
-                out = out + b_ref
+        layers = self._slots[0]
+        for li, (weight_start, fan_in, fan_out, bias_start) in enumerate(layers):
+            out = out @ tape.param(weight_start, (fan_in, fan_out))
+            if bias_start is not None:
+                out = out + tape.param(bias_start, (fan_out,))
             if li < len(layers) - 1:
                 out = out.relu()
         return out
@@ -213,13 +218,11 @@ def _program_of(model) -> Tape:
 
 @lru_cache(maxsize=32)
 def _mask_of(spec: ModelSpec) -> np.ndarray:
-    mask = np.ones(spec.param_count, dtype=bool)
-    offset = 0
-    for fan_in, fan_out in spec.layer_dims():
-        offset += fan_in * fan_out
-        if spec.bias:
-            mask[offset : offset + fan_out] = False
-            offset += fan_out
+    layers, length = spec._slots
+    mask = np.ones(length, dtype=bool)
+    for _, _, fan_out, bias_start in layers:
+        if bias_start is not None:
+            mask[bias_start:][:fan_out] = False  # the fan_out slots from bias_start
     mask.flags.writeable = False
     return mask
 
@@ -241,7 +244,7 @@ def batch_arrays(batch):
         batch = [batch]
     if isinstance(batch, tuple) and len(batch) == 2 and not isinstance(batch[0], Sample):
         X = np.asarray(batch[0], dtype=float)
-        y = np.asarray(batch[1], dtype=int)
+        y = integer_labels(batch[1])
         if X.ndim == 1:
             X = X[None, :]
             y = y.reshape(1)
@@ -250,7 +253,7 @@ def batch_arrays(batch):
         if not items:
             raise ValueError("empty batch")
         X = np.stack([np.asarray(s.features, dtype=float).reshape(-1) for s in items])
-        y = np.array([int(s.label) for s in items])
+        y = integer_labels([s.label for s in items])
     if X.shape[0] == 0:
         raise ValueError("empty batch")
     if X.shape[0] != y.shape[0]:

@@ -10,6 +10,7 @@ than weaken the check. The README documents this.
 
 import hashlib
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -436,6 +437,33 @@ def test_criterion_09_eta_sensitivity_plateau():
         "9",
         best_streak >= 3,
         f"train acc >= 0.99 across {best_streak} consecutive decades ({accs})",
+    )
+
+
+def test_criterion_09_step_size_anneals_where_the_model_fits():
+    # criterion 9's data and config, where the MLP can fit the data: unlike
+    # on the 8b benchmark set, the mean step size must fall over training
+    data = generate_synthetic(
+        "blobs", 1000, 200, 200, d=10, num_classes=5, noise=0.25, seed=0
+    )
+    base = RunConfig(
+        dataset=data, optimizer="dfw", epochs=40, batch_size=32,
+        model="mlp", hidden_dims=(32,), seed=0,
+    )
+    details, ok = [], []
+    for eta in ETA_GRID:
+        result = run_training(replace(base, eta=eta))
+        if result.diverged:
+            details.append(f"{eta:g}: diverged")
+            continue
+        gammas = [m.mean_gamma for m in result.metrics]
+        first, last = np.mean(gammas[:6]), np.mean(gammas[-6:])
+        ok.append(last < first)
+        details.append(f"{eta:g}: {first:.3f} -> {last:.3f}")
+    report(
+        "9-anneal",
+        bool(ok) and all(ok),
+        f"mean step size over the first vs last 6 epochs ({', '.join(details)})",
     )
 
 

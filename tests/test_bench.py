@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import proxfw.bench as bench_module
 import proxfw.models as models_module
 import proxfw.optimizers as optimizers
 from proxfw.bench import (
@@ -214,6 +215,32 @@ def test_run_config_validation():
     for text in ("3-0.5", "3:half", "3:0.5,"):
         with pytest.raises(ValueError, match=f"bad lr schedule entry .* in {text!r}"):
             run_training(replace(config, lr_schedule=text))
+
+
+def test_sweep_checks_its_shared_settings_once_before_the_grid(monkeypatch):
+    data = small_blobs()
+    trained = []
+    monkeypatch.setattr(bench_module, "run_training", lambda config: trained.append(config))
+    with pytest.raises(ValueError, match="hidden layer widths must be positive"):
+        sensitivity_sweep(RunConfig(dataset=data, epochs=1, hidden_dims=(0,)), [0.01, 0.1])
+    with pytest.raises(ValueError, match="momentum must lie in"):
+        sensitivity_sweep(RunConfig(dataset=data, epochs=1, momentum=1.5, eta=-1.0), [0.1])
+    assert trained == []
+
+
+def test_sweep_replaces_an_invalid_base_eta():
+    base = RunConfig(dataset=small_blobs(), epochs=1, hidden_dims=(8,), eta=-1.0)
+    rows = sensitivity_sweep(base, [0.1, float("inf")])
+    assert [r.status for r in rows] == ["ok", "error"]
+    assert rows[0].final_train_acc == run_training(replace(base, eta=0.1)).metrics[-1].train_acc
+
+
+@pytest.mark.parametrize("loss", ["cross_entropy", "hinge", ""])
+def test_evaluate_rejects_an_unknown_loss(loss):
+    data = small_blobs()
+    model = ModelSpec("mlp", data.dim, data.num_classes, (8,))
+    with pytest.raises(ValueError, match=f"loss must be one of .*, got {loss!r}"):
+        evaluate(model, model.init_params(0), data.train, loss=loss)
 
 
 def test_runs_of_one_architecture_record_the_program_once(monkeypatch):

@@ -98,3 +98,13 @@ def test_the_record_tool_prints_reference_ranges_and_warns_on_stderr(monkeypatch
     out, err = capsys.readouterr()
     assert "dfw_blobs reference_s ms, median [range]: parent 6.60 [6.10-7.30], change 5.10 [4.20-6.20]" in out
     assert "warning: dfw_blobs: a side's reference_s median lies outside" in err
+
+
+def test_the_rate_line_gives_each_sides_median_raw_items_per_s():
+    def runs(*rates):
+        return {"runs": [{"counts": {"reference_s": 0.005, "items_per_s": r}} for r in rates]}
+
+    block = {"sides": {"parent": runs(170000.0, 181500.4, 165000.0), "change": runs(5492.0, 4382.0),
+                       "old": {"runs": [{"counts": {"reference_s": 0.005}}]}}}
+    line = _tool().rate_report("dfw_blobs", block)
+    assert line == "dfw_blobs items_per_s, median: parent 170,000, change 4,937, old n/a"

@@ -74,6 +74,25 @@ def test_sweep_writes_table(tmp_path, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize(
+    "flags, reason",
+    [
+        (["--hidden", "0"], "hidden layer widths must be positive"),
+        (["--batch-size", "0"], "need batch_size >= 1"),
+        (["--optimizer", "dfw", "--loss", "ce"], "the dfw optimizer trains the svm loss only"),
+        (["--momentum", "1.5"], "momentum must lie in [0, 1)"),
+    ],
+    ids=["hidden-0", "batch-size-0", "dfw-with-ce", "momentum-1.5"],
+)
+def test_a_bad_shared_sweep_setting_exits_1_and_writes_no_csv(flags, reason, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--dataset", "blobs", *BASE, *flags, "--eta-grid", "0.01,0.1",
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {reason}")
+    assert not out.exists()
+
+
 def test_divergent_run_exits_nonzero(tmp_path, capsys):
     out = tmp_path / "m.csv"
     with np.errstate(all="ignore"):

@@ -17,7 +17,7 @@ from proxfw.data import (
     parse_libsvm_line,
     split_dataset,
 )
-from proxfw.models import ModelSpec, init_params
+from proxfw.models import ModelSpec, batch_arrays, init_params
 from proxfw.optimizers import DFWState, dfw_step
 
 
@@ -84,8 +84,10 @@ def test_malformed_rows_name_the_line(tmp_path):
         ("libsvm", "1 2:inf", "non-finite feature value"),
         ("libsvm", "0 1:1.0 1:2.0", "duplicate feature index"),
         ("libsvm", "1e400 1:2.0", "bad label '1e400'"),
+        ("libsvm", "1.5 1:2.0", "bad label '1.5'"),
     ],
-    ids=["csv-nan", "csv-inf", "libsvm-inf", "libsvm-duplicate", "libsvm-infinite-label"],
+    ids=["csv-nan", "csv-inf", "libsvm-inf", "libsvm-duplicate", "libsvm-infinite-label",
+         "libsvm-fractional-label"],
 )
 def test_bad_values_name_the_line(tmp_path, fmt, bad_line, reason):
     # the blank line checks that line numbers count every line of the file
@@ -270,3 +272,18 @@ def test_dataset_shape_validation():
         Dataset(np.zeros((3, 2)), np.zeros(4, dtype=int))
     with pytest.raises(ValueError):
         Dataset(np.zeros(3), np.zeros(3, dtype=int))
+
+
+def test_non_integral_labels_are_rejected_not_truncated():
+    X = np.zeros((2, 3))
+    for labels in ([0.5, 2.9], [1.0, float("nan")], np.array([0.0, -np.inf])):
+        bad = next(float(v) for v in labels if not float(v).is_integer())
+        with pytest.raises(ValueError, match=f"class labels must be whole numbers, got {bad!r}"):
+            batch_arrays((X, labels))
+        with pytest.raises(ValueError, match=f"class labels must be whole numbers, got {bad!r}"):
+            Dataset(X, labels)
+    # whole-valued float labels and an empty float array are still accepted
+    assert batch_arrays((X, [1.0, 2.0]))[1].tolist() == [1, 2]
+    assert Dataset(X, np.array([2.0, -1.0])).y.tolist() == [2, -1]
+    assert Dataset(np.zeros((0, 4)), np.zeros(0)).y.dtype.kind == "i"
+    assert [parse_libsvm_line(f"{text} 1:1.0")[1] for text in ("+1", "-1", "2.0")] == [1, -1, 2]

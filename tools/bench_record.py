@@ -27,7 +27,8 @@ After each workload the tool prints every side's ``reference_s`` median
 and range, and warns on stderr when one side's median lies outside
 another side's range (as it does whenever two ranges do not overlap):
 the reference kernel has two timing modes, and a side that ran in the
-other one skews every ``ref``-normalized metric.
+other one skews every ``ref``-normalized metric. A second line gives each
+side's median raw ``items_per_s``, the figures that stay comparable then.
 """
 
 from __future__ import annotations
@@ -177,6 +178,20 @@ def reference_report(workload, block) -> tuple:
     return line, warning
 
 
+def rate_report(workload, block) -> str:
+    """Each side's median raw ``items_per_s`` over an untraced block's runs.
+
+    These rates involve no reference kernel, so they stay comparable when
+    the sides ran the kernel in different timing modes. A side whose counts
+    lines carry no ``items_per_s`` shows ``n/a``.
+    """
+    shown = []
+    for name, side in block["sides"].items():
+        rates = [run["counts"]["items_per_s"] for run in side["runs"] if "items_per_s" in run["counts"]]
+        shown.append(f"{name} {quartiles(rates)[1]:,.0f}" if rates else f"{name} n/a")
+    return f"{workload} items_per_s, median: {', '.join(shown)}"
+
+
 def check_record(record: dict) -> None:
     """Raise ValueError unless ``record`` has the layout this tool writes."""
 
@@ -267,6 +282,7 @@ def main(argv=None) -> int:
             if "untraced" in blocks:  # traced runs time no reference kernel
                 line, warning = reference_report(workload, blocks["untraced"])
                 print(line, flush=True)
+                print(rate_report(workload, blocks["untraced"]), flush=True)
                 if warning:
                     log(warning)
     check_record(record)
