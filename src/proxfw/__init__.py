@@ -40,7 +40,7 @@ from .losses import (
     softmax_direction,
     task_loss,
 )
-from .models import ModelSpec, Sample, ToyBinaryModel, batch_scores, init_params, scores
+from .models import ModelSpec, Sample, ToyBinaryModel, init_params
 from .optimizers import (
     BaselineState,
     DFWState,
@@ -69,8 +69,6 @@ __all__ = [
     "ToyBinaryModel",
     "Sample",
     "init_params",
-    "scores",
-    "batch_scores",
     "task_loss",
     "hinge_loss",
     "cross_entropy",

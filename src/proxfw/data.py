@@ -148,12 +148,31 @@ def generate_synthetic(
     return _cut(_standardize(X), y, n_train, n_val)
 
 
+def _parse_label(text: str) -> int:
+    """A class label written as a whole number (``2``, ``+1``, ``2.0``).
+
+    Both file formats read their labels here, so ``1.5``, ``inf`` or
+    ``x`` is the same ``bad label '1.5'`` error in either.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        label = float(text)
+        if not label.is_integer():  # 1.5, inf or nan names no class
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"bad label {text!r}") from None
+    return int(label)
+
+
 def parse_csv_row(row: str):
-    """One CSV row: feature columns then an integer label column."""
+    """One CSV row: feature columns then a label column (see ``_parse_label``)."""
     parts = [p.strip() for p in row.split(",")]
     if len(parts) < 2:
         raise ValueError("need at least one feature column and a label column")
-    return np.array([float(p) for p in parts[:-1]]), int(parts[-1])
+    return np.array([float(p) for p in parts[:-1]]), _parse_label(parts[-1])
 
 
 def parse_libsvm_line(line: str):
@@ -166,12 +185,7 @@ def parse_libsvm_line(line: str):
     parts = line.split()
     if not parts:
         raise ValueError("empty line")
-    try:
-        label = float(parts[0])
-        if not label.is_integer():  # 1.5, inf or nan names no class
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"bad label {parts[0]!r}") from None
+    label = _parse_label(parts[0])
     pairs = []
     for tok in parts[1:]:
         idx, _, val = tok.partition(":")
@@ -187,7 +201,7 @@ def parse_libsvm_line(line: str):
         pairs.append((i - 1, v))
     if len({i for i, _ in pairs}) < len(pairs):
         raise ValueError("duplicate feature index")
-    return pairs, int(label)
+    return pairs, label
 
 
 def load_dataset(path, fmt: str = "csv") -> Dataset:

@@ -35,8 +35,6 @@ __all__ = [
     "ModelSpec",
     "ToyBinaryModel",
     "init_params",
-    "scores",
-    "batch_scores",
     "batch_arrays",
 ]
 
@@ -263,11 +261,3 @@ def batch_arrays(batch):
 
 def init_params(model, seed: int) -> np.ndarray:
     return model.init_params(seed)
-
-
-def scores(model, w, x):
-    return model.scores(w, x)
-
-
-def batch_scores(model, w, X):
-    return model.batch_scores(w, X)

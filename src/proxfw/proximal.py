@@ -41,6 +41,7 @@ __all__ = [
 # below this squared norm the Frank-Wolfe direction carries no signal and
 # the step size is defined as 0
 DEGENERATE_DENOM = 1e-24
+_MEMO_BYTES = 1 << 20  # bytes of vertex mirrors, keys included, one solve keeps
 
 
 @dataclass
@@ -85,8 +86,11 @@ class SolveDiagnostics:
 
 def dual_objective(state: ProximalState) -> float:
     """Dual objective at the state: -|w - w0|^2 / (2 eta) + lam."""
-    diff = state.w - state.w0
-    return float(-(diff @ diff) / (2.0 * state.eta) + state.lam)
+    return _dual_value(state.w - state.w0, state.lam, state.eta)
+
+
+def _dual_value(moved, lam: float, eta: float) -> float:
+    return float(-(moved @ moved) / (2.0 * eta) + lam)
 
 
 def optimal_step_size(state: ProximalState, vertex: DualVertex) -> float:
@@ -207,7 +211,10 @@ def proximal_fw_solve(
 
     Returns ``(w, diagnostics)`` with per-iteration dual objectives,
     step sizes and gaps. ``max_iters=0`` returns the initial iterate
-    ``w0 - eta * r``.
+    ``w0 - eta * r``. A vertex's mirror depends only on the vertex: the
+    first ``_MEMO_BYTES`` of mirrors are kept until the solve returns, so
+    each of those vertices costs one backward pass. In smoothed mode the
+    softmax point is no minimizing vertex: gamma is mostly 0, the gap stalls.
     """
     positive("eta", eta)
     nonnegative("l2", l2)
@@ -224,19 +231,26 @@ def proximal_fw_solve(
     aug0 = augmented_scores_batch(F0, y)
 
     state = ProximalState(w0=w0, w=w0 - eta * r, lam=0.0, eta=eta)
+    moved = state.w - w0
     diag = SolveDiagnostics()
-    diag.dual_objectives.append(dual_objective(state))
+    diag.dual_objectives.append(_dual_value(moved, state.lam, eta))
+    memo = {}  # S.tobytes() -> read-only DualVertex
 
     for _ in range(max_iters):
-        moved = state.w - w0
         _, tangent = tape.jvp(w0, moved)
         lin_scores = F0 + tangent
         lin_aug = augmented_scores_batch(lin_scores, y)
 
         S, _ = dual_direction_batch(lin_aug, lin_scores, mode)
-        lam_s = float((S * aug0).sum() / n)
-        delta = tape.backward(seed=(S - onehot) / n, at=ref)
-        vertex = DualVertex(w=-eta * (r + delta), lam=lam_s)
+        key = S.tobytes()
+        vertex = memo.get(key)
+        if vertex is None:
+            lam_s = float((S * aug0).sum() / n)
+            delta = tape.backward(seed=(S - onehot) / n, at=ref)
+            vertex = DualVertex(w=-eta * (r + delta), lam=lam_s)
+            if len(memo) < _MEMO_BYTES // (len(key) + vertex.w.nbytes):
+                vertex.w.flags.writeable = False
+                memo[key] = vertex
 
         # exact Frank-Wolfe certificate: directional slack of the best
         # vertex over the current iterate, computed from primal mirrors
@@ -252,7 +266,8 @@ def proximal_fw_solve(
         # the iterate built above stays checked: only w and lam move
         state.w = (1.0 - gamma) * state.w + gamma * (vertex.w + w0)
         state.lam = (1.0 - gamma) * state.lam + gamma * vertex.lam
-        diag.dual_objectives.append(dual_objective(state))
+        moved = state.w - w0
+        diag.dual_objectives.append(_dual_value(moved, state.lam, eta))
         diag.iterations += 1
 
     return state.w, diag

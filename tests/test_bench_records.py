@@ -108,3 +108,48 @@ def test_the_rate_line_gives_each_sides_median_raw_items_per_s():
                        "old": {"runs": [{"counts": {"reference_s": 0.005}}]}}}
     line = _tool().rate_report("dfw_blobs", block)
     assert line == "dfw_blobs items_per_s, median: parent 170,000, change 4,937, old n/a"
+
+
+def test_the_pair_line_counts_seed_wins_and_objective_mismatches_are_warned_about():
+    def side(*pairs):
+        return {"runs": [{"metrics": {"items_per_ref": r, "final_objective": f}} for r, f in pairs]}
+
+    block = {
+        "seeds": [1, 2, 3, 4],
+        "sides": {
+            "parent": side((21.0, 1.5), (22.0, 1.25), (20.0, 1.0), (23.0, 0.5)),
+            "change": side((25.0, 1.5), (22.0, 1.25), (26.0, 1.0), (21.0, 0.5)),  # one tie, one loss
+            "other": side((20.0, 1.5), (23.0, 1.3), (21.0, 1.0), (24.0, 0.75)),
+        },
+    }
+    line, warning = _tool().pair_report("solver_certify", block)
+    assert line == "solver_certify items_per_ref seeds won against parent: change 2/4, other 3/4"
+    assert warning == "warning: solver_certify: final_objective differs from parent's: other on seed 2, 4"
+    del block["sides"]["other"]
+    assert _tool().pair_report("solver_certify", block)[1] is None
+
+
+def test_the_record_tool_prints_seed_wins_and_warns_on_differing_objectives(monkeypatch, tmp_path, capsys):
+    tool = _tool()
+    rates = {"parent": iter([20.0, 21.0, 22.0]), "change": iter([25.0, 21.0, 26.0])}
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        side = Path(checkout).name
+        metrics = {"items_per_ref": next(rates[side]), "final_objective": 1.0 + (side == "change" and seed == 3)}
+        return {"seed": seed, "attempted": 1, "failed": 0, "metrics": metrics,
+                "units": {m: "1" for m in metrics}, "environment": {}, "counts": {"reference_s": 0.005}}
+
+    def copy_side(spec, dest):
+        name, _, _ = spec.partition("=")
+        return name, tmp_path, tmp_path / name
+
+    monkeypatch.setattr(tool, "run_once", run_once)
+    monkeypatch.setattr(tool, "_copy_side", copy_side)
+    monkeypatch.setattr(tool, "describe_side", lambda checkout: {})
+    monkeypatch.setattr(tool, "check_record", lambda record: None)
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "workloads": [{"name": "solver_certify"}]}))
+    tool.main(["--out", str(tmp_path / "BENCH_0.json"), "--side", "parent=.", "--side", "change=.", "--seeds", "1-3"])
+    out, err = capsys.readouterr()
+    assert "solver_certify items_per_ref seeds won against parent: change 2/3" in out
+    assert "warning: solver_certify: final_objective differs from parent's: change on seed 3" in err

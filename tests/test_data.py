@@ -85,15 +85,23 @@ def test_malformed_rows_name_the_line(tmp_path):
         ("libsvm", "0 1:1.0 1:2.0", "duplicate feature index"),
         ("libsvm", "1e400 1:2.0", "bad label '1e400'"),
         ("libsvm", "1.5 1:2.0", "bad label '1.5'"),
+        ("csv", "1.0,2.0,1.5", "bad label '1.5'"),
+        ("csv", "1.0,2.0,2.0", None),
+        ("libsvm", "2.0 1:2.0", None),
     ],
     ids=["csv-nan", "csv-inf", "libsvm-inf", "libsvm-duplicate", "libsvm-infinite-label",
-         "libsvm-fractional-label"],
+         "libsvm-fractional-label", "csv-fractional-label", "csv-whole-float-label",
+         "libsvm-whole-float-label"],
 )
 def test_bad_values_name_the_line(tmp_path, fmt, bad_line, reason):
-    # the blank line checks that line numbers count every line of the file
+    # the blank line checks that line numbers count every line of the file;
+    # a case without a reason is a line both formats accept
     good = "1.0,2.0,0" if fmt == "csv" else "0 1:1.0 2:2.0"
     p = tmp_path / "d.txt"
     p.write_text(f"{good}\n\n{bad_line}\n{good}\n")
+    if reason is None:
+        assert np.array_equal(load_dataset(p, fmt).y, [0, 1, 0])
+        return
     with pytest.raises(DatasetFormatError, match=f"line 3: {reason}"):
         load_dataset(p, fmt)
 

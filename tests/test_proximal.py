@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxfw import proximal
+from proxfw.autodiff import Tape
 from proxfw.data import generate_synthetic
 from proxfw.losses import hinge_loss_batch
 from proxfw.models import ModelSpec, Sample, ToyBinaryModel
@@ -239,6 +241,42 @@ def test_dual_objectives_never_decrease_on_drawn_problems(kind, mode, eta, l2, s
     )
     duals = np.array(diag.dual_objectives)
     assert np.all(np.diff(duals) >= -1e-12 * np.maximum(1.0, np.abs(duals[:-1])))
+
+
+def test_solve_runs_one_backward_pass_per_distinct_vertex(monkeypatch):
+    # the model stays linearized at w0, so a vertex the solve has already
+    # mirrored is reused, not differentiated again
+    data = generate_synthetic("blobs", 40, 0, 0, d=4, num_classes=4, noise=1.0, seed=5)
+    model = ModelSpec("mlp", input_dim=4, num_classes=4, hidden_dims=(8,))
+    w0 = np.random.default_rng(5).normal(scale=0.3, size=model.param_count)
+    picked, backwards, vertices = [], [], []
+    pick, backward, step = proximal.dual_direction_batch, Tape.backward, proximal.optimal_step_size
+
+    def spy_pick(*args):
+        S, switched = pick(*args)
+        picked.append(S.tobytes())
+        return S, switched
+
+    def spy_backward(tape, *args, **kwargs):
+        backwards.append(1)
+        return backward(tape, *args, **kwargs)
+
+    def spy_step(state, vertex):
+        vertices.append(vertex)
+        return step(state, vertex)
+
+    monkeypatch.setattr(proximal, "dual_direction_batch", spy_pick)
+    monkeypatch.setattr(Tape, "backward", spy_backward)
+    monkeypatch.setattr(proximal, "optimal_step_size", spy_step)
+    _, diag = proximal_fw_solve(
+        w0, (data.train.X, data.train.y), model, eta=1.0, max_iters=200, gap_tol=0.0, l2=1e-3
+    )
+    assert len(picked) == 200 and diag.iterations == 200
+    assert len(backwards) == len(set(picked)) < 200
+    assert len(set(picked)) <= proximal._MEMO_BYTES // (len(picked[0]) + w0.nbytes)
+    for vertex in vertices:
+        with pytest.raises(ValueError, match="read-only"):
+            vertex.w[0] = 0.0
 
 
 def test_linear_solve_recovers_svm_on_separable_data():
