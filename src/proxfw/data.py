@@ -5,11 +5,11 @@ sitting on a scaled simplex with pairwise distance 2, then standardizes
 every feature dimension; "spirals" interleaves class arms in the first
 two dimensions. Both are fully determined by their seed.
 
-File loaders parse the whole file strictly (malformed rows, non-finite
-features, repeated LIBSVM indices, LIBSVM labels that are not whole
-numbers and LIBSVM files whose dense matrix would pass
-``MAX_DENSE_ENTRIES`` are reported with their line number) and remap
-labels to 0..K-1 in order of first appearance.
+File loaders parse the whole file strictly (malformed rows, bytes that
+are not UTF-8, non-finite features, repeated LIBSVM indices, LIBSVM
+labels that are not whole numbers and LIBSVM files whose dense matrix
+would pass ``MAX_DENSE_ENTRIES`` are reported with their line number)
+and remap labels to 0..K-1 in order of first appearance.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ SYNTHETIC = ("blobs", "spirals")
 # a LIBSVM file is loaded as a dense float64 matrix; a matrix of more
 # entries than this (1 GiB) is refused, not allocated
 MAX_DENSE_ENTRIES = 2**27
+# LIBSVM entries are scattered into the dense matrix this many rows at a
+# time, so the row numbers and numpy's intp copy of the columns stay small
+_SCATTER_ROWS = 256
 
 
 class DatasetFormatError(ValueError):
@@ -207,22 +210,32 @@ def parse_libsvm_line(line: str):
 def load_dataset(path, fmt: str = "csv") -> Dataset:
     """Load a whole file; labels remapped to 0..K-1 by first appearance.
 
-    The file is read line by line. LIBSVM entries go into flat index and
-    value arrays, scattered into the dense matrix once at the end.
+    The file is read line by line, and every feature value is stored once,
+    in one flat float64 buffer. A CSV matrix is that buffer viewed as
+    ``n x width``. A LIBSVM file also keeps each value's column, as int32
+    (every index is at most ``MAX_DENSE_ENTRIES`` < 2**31), and where
+    each row's entries end; the entries are then scattered into the
+    dense matrix a block of rows at a time, so no row-number array of
+    the whole file's size is made. A line holding bytes that are not UTF-8
+    is reported with its number, like any other malformed line.
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
-    rows = []  # CSV feature rows
-    cols, values, counts = array("q"), array("d"), array("q")  # LIBSVM entries
+    values = array("d")  # every feature value, in file order
+    cols, ends = array("i"), array("q", [0])  # LIBSVM: each value's column, each row's end
     raw_labels = []
-    linenos = []
+    linenos = array("q")
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
             try:
+                if not line.isascii():
+                    # bytes that are not UTF-8 were read as lone surrogates;
+                    # decoding the line's own bytes raises on the first one
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                stripped = line.strip()
+                if not stripped:
+                    continue
                 if fmt == "csv":
                     features, label = parse_csv_row(stripped)
                     if width is None:
@@ -231,35 +244,40 @@ def load_dataset(path, fmt: str = "csv") -> Dataset:
                         raise ValueError(
                             f"expected {width} feature columns, got {features.shape[0]}"
                         )
-                    rows.append(features)
+                    values.frombytes(features.tobytes())
                 else:
                     pairs, label = parse_libsvm_line(stripped)
-                    counts.append(len(pairs))
                     if pairs:
                         row_cols, row_values = zip(*pairs)
                         cols.extend(row_cols)
                         values.extend(row_values)
+                    ends.append(len(cols))
                 raw_labels.append(label)
                 linenos.append(lineno)
             except ValueError as exc:
                 raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from None
     if not raw_labels:
         raise DatasetFormatError(f"{path}: no data rows")
+    n = len(raw_labels)
     if fmt == "libsvm":
-        cols = np.frombuffer(cols, dtype=np.int64)
-        counts = np.frombuffer(counts, dtype=np.int64)
-        n, d = len(raw_labels), int(cols.max()) + 1 if cols.size else 0
+        cols = np.frombuffer(cols, dtype=np.int32)
+        ends = np.frombuffer(ends, dtype=np.int64)
+        values = np.frombuffer(values, dtype=float)
+        d = int(cols.max()) + 1 if cols.size else 0
         if n * d > MAX_DENSE_ENTRIES:
-            widest = np.searchsorted(np.cumsum(counts), cols.argmax(), side="right")
+            widest = np.searchsorted(ends, cols.argmax(), side="right") - 1
             raise DatasetFormatError(
                 f"{path}: line {linenos[widest]}: feature index {d} makes a dense "
                 f"{n} x {d} matrix, past the limit of {MAX_DENSE_ENTRIES} entries"
             )
         X = np.zeros((n, d))
-        entry_rows = np.repeat(np.arange(n), counts)
-        X[entry_rows, cols] = np.frombuffer(values, dtype=float)
+        for start in range(0, n, _SCATTER_ROWS):
+            stop = min(start + _SCATTER_ROWS, n)
+            lo, hi = ends[start], ends[stop]
+            rows = np.repeat(np.arange(start, stop), np.diff(ends[start : stop + 1]))
+            X[rows, cols[lo:hi]] = values[lo:hi]
     else:
-        X = np.stack(rows)
+        X = np.frombuffer(values, dtype=float).reshape(n, width)
     # one vectorized pass over the assembled matrix keeps large files fast
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:

@@ -10,13 +10,13 @@ than weaken the check. The README documents this.
 
 import hashlib
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from proxfw.autodiff import fd_gradient_oracle
-from proxfw.bench import RunConfig, emit_metrics, run_training, sensitivity_sweep
+from proxfw.bench import EpochMetrics, RunConfig, emit_metrics, run_training, sensitivity_sweep
 from proxfw.data import generate_synthetic
 from proxfw.losses import (
     augmented_scores,
@@ -415,6 +415,35 @@ def test_criterion_08c_reaches_target_loss_earlier(tuned, seed_runs):
         wins >= 2 and total_elapsed < 600.0,
         f"epochs to reach the SGD final train loss ({'; '.join(details)}): "
         f"{wins}/3 seeds earlier; benchmark wall time {total_elapsed:.0f}s (budget 600s)",
+    )
+
+
+def test_criterion_08_conditional_dfw_is_unscheduled_sgd_where_every_step_clips():
+    # criterion 8's kind of data and network at a tenth of its size: the
+    # step size is clipped at 1 on every step, so conditional-mode DFW takes
+    # exactly the steps of SGD without a schedule (criterion 5 over a whole
+    # run); this is the regime in which 8b and 8c fail
+    data = generate_synthetic("blobs", 500, 100, 100, d=20, num_classes=10, noise=1.0, seed=0)
+    base = RunConfig(
+        dataset=data, eta=0.01, epochs=5, batch_size=64, model="mlp", hidden_dims=(64,), seed=0,
+    )
+    dfw = run_training(replace(base, optimizer="dfw", direction_mode="conditional"))
+    sgd = run_training(replace(base, optimizer="sgd", lr_schedule="none"))
+    shared = [f.name for f in fields(EpochMetrics)
+              if f.name not in ("mean_gamma", "switch_fraction", "wall_time_s")]
+
+    def table(result):
+        return np.array([[getattr(m, name) for name in shared] for m in result.metrics], dtype=float)
+
+    gammas = [m.mean_gamma for m in dfw.metrics]
+    same_w = dfw.final_w.tobytes() == sgd.final_w.tobytes()
+    same_metrics = table(dfw).tobytes() == table(sgd).tobytes()
+    report(
+        "8-identity",
+        len(gammas) == 5 and all(g == 1.0 for g in gammas) and same_w and same_metrics,
+        f"mean step size per epoch {gammas}; final weights {'equal' if same_w else 'DIFFER'} "
+        f"and {', '.join(shared)} {'equal' if same_metrics else 'DIFFER'} bit for bit "
+        f"against SGD without a schedule",
     )
 
 

@@ -93,7 +93,9 @@ def test_the_record_tool_prints_reference_ranges_and_warns_on_stderr(monkeypatch
     monkeypatch.setattr(tool, "describe_side", lambda checkout: {})
     monkeypatch.setattr(tool, "check_record", lambda record: None)
     monkeypatch.setattr(tool, "ROOT", tmp_path)
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "workloads": [{"name": "dfw_blobs"}]}))
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 1, "workloads": [{"name": "dfw_blobs"}], "end_to_end": []})
+    )
     tool.main(["--out", str(tmp_path / "BENCH_0.json"), "--side", "parent=.", "--side", "change=.", "--seeds", "1-3"])
     out, err = capsys.readouterr()
     assert "dfw_blobs reference_s ms, median [range]: parent 6.60 [6.10-7.30], change 5.10 [4.20-6.20]" in out
@@ -122,11 +124,34 @@ def test_the_pair_line_counts_seed_wins_and_objective_mismatches_are_warned_abou
             "other": side((20.0, 1.5), (23.0, 1.3), (21.0, 1.0), (24.0, 0.75)),
         },
     }
-    line, warning = _tool().pair_report("solver_certify", block)
-    assert line == "solver_certify items_per_ref seeds won against parent: change 2/4, other 3/4"
+    metrics = [{"name": "items_per_ref", "better": "higher"}]
+    lines, warning = _tool().pair_report("solver_certify", block, metrics)
+    assert lines == ["solver_certify items_per_ref seeds won against parent: change 2/4, other 3/4"]
     assert warning == "warning: solver_certify: final_objective differs from parent's: other on seed 2, 4"
     del block["sides"]["other"]
-    assert _tool().pair_report("solver_certify", block)[1] is None
+    assert _tool().pair_report("solver_certify", block, metrics)[1] is None
+
+
+def test_the_pair_lines_count_wins_for_every_end_to_end_metric_in_its_better_direction():
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+
+    def side(*runs):
+        return {"runs": [{"metrics": {"items_per_ref": r, "peak_rss_mb": mb}} for r, mb in runs]}
+
+    block = {
+        "seeds": [1, 2, 3],
+        "sides": {
+            "parent": side((200.0, 85.0), (210.0, 86.0), (205.0, 84.0)),
+            "change": side((199.0, 76.0), (211.0, 86.0), (204.0, 75.0)),  # lower rss twice, one tie
+        },
+    }
+    lines, warning = _tool().pair_report("adam_wide_libsvm", block, declared)
+    won = {"items_per_ref": "1/3", "peak_rss_mb": "2/3"}
+    assert lines == [
+        f"adam_wide_libsvm {m['name']} seeds won against parent: change {won.get(m['name'], 'n/a')}"
+        for m in declared
+    ]
+    assert warning is None
 
 
 def test_the_record_tool_prints_seed_wins_and_warns_on_differing_objectives(monkeypatch, tmp_path, capsys):
@@ -148,8 +173,12 @@ def test_the_record_tool_prints_seed_wins_and_warns_on_differing_objectives(monk
     monkeypatch.setattr(tool, "describe_side", lambda checkout: {})
     monkeypatch.setattr(tool, "check_record", lambda record: None)
     monkeypatch.setattr(tool, "ROOT", tmp_path)
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "workloads": [{"name": "solver_certify"}]}))
+    declared = [{"name": "items_per_ref", "better": "higher"}, {"name": "final_objective", "better": "lower"}]
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 1, "workloads": [{"name": "solver_certify"}], "end_to_end": declared})
+    )
     tool.main(["--out", str(tmp_path / "BENCH_0.json"), "--side", "parent=.", "--side", "change=.", "--seeds", "1-3"])
     out, err = capsys.readouterr()
     assert "solver_certify items_per_ref seeds won against parent: change 2/3" in out
+    assert "solver_certify final_objective seeds won against parent: change 0/3" in out
     assert "warning: solver_certify: final_objective differs from parent's: change on seed 3" in err

@@ -60,6 +60,10 @@ def test_malformed_dataset_file_exits_nonzero(tmp_path, capsys):
     code = main(["train", "--dataset", str(bad), "--model", "linear"])
     assert code == 1
     assert "line 2: non-finite" in capsys.readouterr().err
+    bad.write_bytes(b"1.0,2.0,0\n1.0,\xff,1\n")
+    code = main(["train", "--dataset", str(bad), "--model", "linear"])
+    assert code == 1
+    assert "line 2: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
 
 
 def test_sweep_writes_table(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -171,23 +172,60 @@ def test_csv_and_libsvm_files_round_trip_bitwise(tmp_path_factory, data):
         assert loaded.y.tolist() == y
 
 
-def test_libsvm_load_peaks_at_a_few_copies_of_the_matrix(tmp_path):
-    # the flat index and value arrays, their row numbers and X peak at
-    # about 4.5 times X's bytes on a dense 2000 x 32 file; keeping each row
-    # as a list of (index, value) tuples peaked at 15.4 times
-    X = np.random.default_rng(31).normal(size=(2000, 32))
-    path = tmp_path / "dense.svm"
+def _traced_load(X, path, fmt):
+    # writes X as a file of the format, loads it under tracemalloc and
+    # returns the peak of the load in bytes
     with open(path, "w", encoding="utf-8") as fh:
         for i, row in enumerate(X.tolist()):
-            fh.write(f"{i % 4} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row)) + "\n")
+            if fmt == "libsvm":
+                fh.write(f"{i % 4} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row)) + "\n")
+            else:
+                fh.write(",".join(repr(v) for v in row) + f",{i % 4}\n")
     tracemalloc.start()
     try:
-        data = load_dataset(path, "libsvm")
+        data = load_dataset(path, fmt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert data.X.tobytes() == X.tobytes()
-    assert peak <= 8 * X.nbytes
+    return peak
+
+
+def test_libsvm_load_peaks_at_a_few_copies_of_the_matrix(tmp_path):
+    # the flat values, their int32 columns and X peak at about 2.9 times
+    # X's bytes on a dense 2000 x 32 file; int64 columns with a row number
+    # per entry peaked at 4.4 times, and a list of (index, value) tuples
+    # per row at 15.4 times
+    X = np.random.default_rng(31).normal(size=(2000, 32))
+    assert _traced_load(X, tmp_path / "dense.svm", "libsvm") <= 3.5 * X.nbytes
+    # int32 columns hold every index the loader accepts
+    assert MAX_DENSE_ENTRIES < 2**31
+
+
+def test_csv_load_peaks_at_little_more_than_the_matrix(tmp_path):
+    # X is a view of the one flat buffer the values were read into: about
+    # 1.25 times X's bytes on the same data; a row array per line stacked
+    # into X at the end peaked at 3.3 times
+    X = np.random.default_rng(31).normal(size=(2000, 32))
+    assert _traced_load(X, tmp_path / "dense.csv", "csv") <= 2 * X.nbytes
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize(
+    "fmt, good, bad",
+    [("csv", b"1.0,2.0,0", b"1.0,\xff2.0,1"), ("libsvm", b"0 1:1.0 2:2.0", b"1 1:\xff2.0")],
+    ids=["csv", "libsvm"],
+)
+def test_bytes_that_are_not_utf8_name_the_file_and_the_line(tmp_path, fmt, good, bad, newline):
+    p = tmp_path / "d.txt"
+    p.write_bytes(newline.join([good, b"", bad, good]) + newline)
+    reason = "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"
+    with pytest.raises(DatasetFormatError, match=f"^{re.escape(f'{p}: line 3: {reason}')}$"):
+        load_dataset(p, fmt)
+    # a line of valid UTF-8 that is not ASCII is parsed like any other
+    p.write_bytes(newline.join([good, "1.0,2.0,\u00e9".encode(), good]) + newline)
+    with pytest.raises(DatasetFormatError, match="line 2: bad label"):
+        load_dataset(p, fmt)
 
 
 def test_empty_file_rejected(tmp_path):

@@ -29,8 +29,9 @@ another side's range (as it does whenever two ranges do not overlap):
 the reference kernel has two timing modes, and a side that ran in the
 other one skews every ``ref``-normalized metric. A second line gives each
 side's median raw ``items_per_s``, the figures that stay comparable then.
-A third gives, per later side, the seeds on which its ``items_per_ref``
-beats the first side's, and the tool warns on stderr when a seed's
+Then one line per end-to-end metric of ``BENCHMARK.json`` gives, per
+later side, the seeds on which it beats the first side in the metric's
+``better`` direction, and the tool warns on stderr when a seed's
 ``final_objective`` differs between sides.
 """
 
@@ -195,36 +196,44 @@ def rate_report(workload, block) -> str:
     return f"{workload} items_per_s, median: {', '.join(shown)}"
 
 
-def pair_report(workload, block) -> tuple:
-    """``(line, warning)`` comparing each later side with the first, seed by seed.
+def pair_report(workload, block, metrics) -> tuple:
+    """``(lines, warning)`` comparing each later side with the first, seed by seed.
 
-    The line gives, per later side, on how many seeds its ``items_per_ref``
-    is higher than the first side's (a tie counts for neither; ``n/a`` when
-    the runs report no such metric). The warning is None unless some seed's
-    ``final_objective`` differs between the first side and another, which
-    means the sides did not compute the same numbers.
+    ``metrics`` are the ``end_to_end`` entries of ``BENCHMARK.json``. One
+    line per metric gives, per later side, on how many seeds it beats the
+    first side in the metric's ``better`` direction (a tie counts for
+    neither; ``n/a`` when the runs do not all report the metric). The
+    warning is None unless some seed's ``final_objective`` differs between
+    the first side and another, which means the sides did not compute the
+    same numbers.
     """
     (first, base), *later = block["sides"].items()
 
     def per_seed(side, metric):
         return [run["metrics"].get(metric) for run in side["runs"]]
 
-    shown, differ = [], []
-    for name, side in later:
-        pairs = list(zip(per_seed(side, "items_per_ref"), per_seed(base, "items_per_ref")))
-        if any(None in pair for pair in pairs):
-            shown.append(f"{name} n/a")
-        else:
-            shown.append(f"{name} {sum(a > b for a, b in pairs)}/{len(pairs)}")
+    lines = []
+    for metric in metrics:
+        name, better = metric["name"], metric["better"]
+        shown = []
+        for side_name, side in later:
+            pairs = list(zip(per_seed(side, name), per_seed(base, name)))
+            if any(None in pair for pair in pairs):
+                shown.append(f"{side_name} n/a")
+                continue
+            wins = sum(a > b if better == "higher" else a < b for a, b in pairs)
+            shown.append(f"{side_name} {wins}/{len(pairs)}")
+        lines.append(f"{workload} {name} seeds won against {first}: {', '.join(shown)}")
+    differ = []
+    for side_name, side in later:
         objectives = zip(block["seeds"], per_seed(side, "final_objective"), per_seed(base, "final_objective"))
         seeds = [str(seed) for seed, a, b in objectives if a != b]
         if seeds:
-            differ.append(f"{name} on seed {', '.join(seeds)}")
-    line = f"{workload} items_per_ref seeds won against {first}: {', '.join(shown)}"
+            differ.append(f"{side_name} on seed {', '.join(seeds)}")
     warning = None
     if differ:
         warning = f"warning: {workload}: final_objective differs from {first}'s: {'; '.join(differ)}"
-    return line, warning
+    return lines, warning
 
 
 def check_record(record: dict) -> None:
@@ -318,8 +327,9 @@ def main(argv=None) -> int:
                 line, ref_warning = reference_report(workload, blocks["untraced"])
                 print(line, flush=True)
                 print(rate_report(workload, blocks["untraced"]), flush=True)
-                line, pair_warning = pair_report(workload, blocks["untraced"])
-                print(line, flush=True)
+                lines, pair_warning = pair_report(workload, blocks["untraced"], benchmark["end_to_end"])
+                for line in lines:
+                    print(line, flush=True)
                 for warning in (ref_warning, pair_warning):
                     if warning:
                         log(warning)
