@@ -40,7 +40,7 @@ from .losses import (
     softmax_direction,
     task_loss,
 )
-from .models import ModelSpec, Sample, ToyBinaryModel, init_params
+from .models import ModelSpec, Sample, init_params
 from .optimizers import (
     BaselineState,
     DFWState,
@@ -66,7 +66,6 @@ __all__ = [
     "backward_grad",
     "fd_gradient_oracle",
     "ModelSpec",
-    "ToyBinaryModel",
     "Sample",
     "init_params",
     "task_loss",

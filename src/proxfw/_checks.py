@@ -15,13 +15,14 @@ def nonnegative(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
-def integer_labels(values) -> np.ndarray:
-    """``values`` as an int array. A label that is not a whole number is an
-    error, not truncated; integer arrays pass unchecked."""
+def whole_numbers(name: str, values) -> np.ndarray:
+    """``values`` as an int array. A value that is not a whole number is an
+    error naming ``name``, not truncated; integer arrays pass unchecked."""
     y = np.asarray(values)
     if y.dtype.kind not in "biu":
         y = y.astype(float)
         bad = y[~(np.isfinite(y) & (y == np.trunc(y)))]
         if bad.size:
-            raise ValueError(f"class labels must be whole numbers, got {float(bad[0])!r}")
+            what = "a whole number" if y.ndim == 0 else "whole numbers"
+            raise ValueError(f"{name} must be {what}, got {float(bad[0])!r}")
     return y.astype(int, copy=False)

@@ -158,7 +158,7 @@ def _validate(config: RunConfig):
 
 
 def _build_model(config: RunConfig) -> models.ModelSpec:
-    hidden = tuple(config.hidden_dims) if config.model == "mlp" else ()
+    hidden = config.hidden_dims if config.model == "mlp" else ()
     return models.ModelSpec(
         kind=config.model,
         input_dim=config.dataset.dim,

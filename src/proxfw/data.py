@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import integer_labels, nonnegative
+from ._checks import nonnegative, whole_numbers
 
 __all__ = [
     "Dataset",
@@ -55,7 +55,7 @@ class Dataset:
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
-        self.y = integer_labels(self.y)
+        self.y = whole_numbers("class labels", self.y)
         if self.X.ndim != 2 or self.X.shape[0] != self.y.shape[0]:
             raise ValueError("features and labels disagree in shape")
 

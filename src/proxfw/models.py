@@ -1,13 +1,13 @@
 """Score models: linear and relu-MLP multiclass classifiers.
 
-Every model maps a flat parameter vector ``w`` and an input ``x`` to a
-vector of class scores, and exposes the computation as a tape so callers
-can append a scalar head (a loss, or a weighted combination of scores)
-and differentiate through it.
+A :class:`ModelSpec` maps a flat parameter vector ``w`` and an input ``x``
+to a vector of class scores, and exposes the computation as a tape so
+callers can append a scalar head (a loss, or a weighted combination of
+scores) and differentiate through it.
 
-Each architecture records its score program once, on first use, with
-the input as a tape input slot; equal specs share that program and their
-weight mask. Every ``scores`` or ``batch_scores`` call replays
+Each architecture records its score program, with the input as a tape
+input slot, and builds its weight mask in one cached call on first use;
+equal specs share both. Every ``scores`` or ``batch_scores`` call replays
 that program on a new tape with the slot bound to the call's input, so a
 call costs a list copy and a forward pass, never a rebuild, and a head
 appended to one call's tape never reaches another call's.
@@ -27,13 +27,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._checks import integer_labels
-from .autodiff import Ref, Tape
+from ._checks import whole_numbers
+from .autodiff import Tape
 
 __all__ = [
     "Sample",
     "ModelSpec",
-    "ToyBinaryModel",
     "init_params",
     "batch_arrays",
 ]
@@ -66,9 +65,14 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"model kind must be one of {KINDS}, got {self.kind!r}")
+        if isinstance(self.hidden_dims, str):
+            raise ValueError(f"hidden_dims must be a sequence of widths, got {self.hidden_dims!r}")
+        for name in ("input_dim", "num_classes"):
+            object.__setattr__(self, name, int(whole_numbers(name, getattr(self, name))))
+        widths = whole_numbers("hidden_dims", tuple(self.hidden_dims))
+        object.__setattr__(self, "hidden_dims", tuple(widths.tolist()))
         if self.input_dim < 1 or self.num_classes < 2:
             raise ValueError("need input_dim >= 1 and num_classes >= 2")
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError("hidden layer widths must be positive")
         if self.kind == "linear" and self.hidden_dims:
@@ -102,7 +106,7 @@ class ModelSpec:
 
     @cached_property
     def _weight_mask(self) -> np.ndarray:
-        return _mask_of(self)
+        return _program_and_mask(self)[1]
 
     def init_params(self, seed: int) -> np.ndarray:
         """Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) weights, zero biases."""
@@ -117,18 +121,13 @@ class ModelSpec:
 
     @cached_property
     def _program(self) -> Tape:
-        return _program_of(self)
+        return _program_and_mask(self)[0]
 
-    def _build(self, tape: Tape, x_ref: Ref) -> Ref:
-        out = x_ref
-        layers = self._slots[0]
-        for li, (weight_start, fan_in, fan_out, bias_start) in enumerate(layers):
-            out = out @ tape.param(weight_start, (fan_in, fan_out))
-            if bias_start is not None:
-                out = out + tape.param(bias_start, (fan_out,))
-            if li < len(layers) - 1:
-                out = out.relu()
-        return out
+    def _replay(self, w, X):
+        """``(scores, ref)`` on ``X``; ``ref`` is the scores node of a new
+        tape that replays the recorded program, ready for a scalar head."""
+        tape = self._program.replay(X)
+        return tape.forward(w), tape.output
 
     def scores(self, w, x):
         """Class scores for one input. Returns ``(values, ref)``.
@@ -139,97 +138,34 @@ class ModelSpec:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.input_dim,):
             raise ValueError(f"expected input of shape ({self.input_dim},), got {x.shape}")
-        return _replay(self, w, x)
+        return self._replay(w, x)
 
     def batch_scores(self, w, X):
         """Scores for a batch, shape (n, num_classes). Returns ``(values, ref)``."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected inputs of shape (n, {self.input_dim}), got {X.shape}")
-        return _replay(self, w, X)
-
-
-@dataclass(frozen=True)
-class ToyBinaryModel:
-    """One-weight binary scorer: f(w, x) = (w*x, 0).
-
-    The second class's score is constant, so the whole model has a single
-    parameter. Used by worked examples and closed-form tests where hand
-    calculation must stay easy.
-    """
-
-    input_dim: int = 1
-    num_classes: int = 2
-
-    @property
-    def param_count(self) -> int:
-        return 1
-
-    def weight_mask(self) -> np.ndarray:
-        return _TOY_MASK
-
-    def init_params(self, seed: int) -> np.ndarray:
-        return np.zeros(1)
-
-    def scores(self, w, x):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape != (1,):
-            raise ValueError("ToyBinaryModel takes a single feature")
-        return self._run(w, x)
-
-    def batch_scores(self, w, X):
-        """Scores for a batch of shape (n,) or (n, 1), shape (n, 2)."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim not in (1, 2) or X.shape[1:] not in ((), (1,)):
-            raise ValueError(f"expected inputs of shape (n,) or (n, 1), got {X.shape}")
-        return self._run(w, X.reshape(-1, 1))
-
-    @cached_property
-    def _program(self) -> Tape:
-        return _program_of(self)
-
-    def _build(self, tape: Tape, x_ref: Ref) -> Ref:
-        return tape.param(0) * x_ref
-
-    def _run(self, w, X):
-        # feature column(s) X of shape (1,) or (n, 1); the second score is 0
-        return _replay(self, w, np.concatenate([X, np.zeros_like(X)], axis=-1))
-
-
-_TOY_MASK = np.ones(1, dtype=bool)
-_TOY_MASK.flags.writeable = False
-
-
-def _replay(model, w, X):
-    """``(scores, ref)`` of ``model`` on ``X``; ``ref`` is the scores node of
-    a new tape that replays the model's recorded program, ready for a
-    scalar head."""
-    tape = model._program.replay(X)
-    return tape.forward(w), tape.output
+        return self._replay(w, X)
 
 
 @lru_cache(maxsize=32)
-def _program_of(model) -> Tape:
-    # one recorded program per architecture, keyed on the frozen spec
-    return _record(model)
-
-
-@lru_cache(maxsize=32)
-def _mask_of(spec: ModelSpec) -> np.ndarray:
+def _program_and_mask(spec: ModelSpec) -> tuple:
+    """The score program of ``spec``'s architecture, with the input as the
+    tape's input slot, and its read-only weight mask; keyed on the frozen
+    spec, so equal specs share both."""
     layers, length = spec._slots
+    tape = Tape(length)
+    out = tape.input()
     mask = np.ones(length, dtype=bool)
-    for _, _, fan_out, bias_start in layers:
+    for li, (weight_start, fan_in, fan_out, bias_start) in enumerate(layers):
+        out = out @ tape.param(weight_start, (fan_in, fan_out))
         if bias_start is not None:
+            out = out + tape.param(bias_start, (fan_out,))
             mask[bias_start:][:fan_out] = False  # the fan_out slots from bias_start
+        if li < len(layers) - 1:
+            out = out.relu()
     mask.flags.writeable = False
-    return mask
-
-
-def _record(model) -> Tape:
-    # the score program, with the input as the tape's input slot
-    tape = Tape(model.param_count)
-    model._build(tape, tape.input())
-    return tape
+    return tape, mask
 
 
 def batch_arrays(batch):
@@ -242,7 +178,7 @@ def batch_arrays(batch):
         batch = [batch]
     if isinstance(batch, tuple) and len(batch) == 2 and not isinstance(batch[0], Sample):
         X = np.asarray(batch[0], dtype=float)
-        y = integer_labels(batch[1])
+        y = whole_numbers("class labels", batch[1])
         if X.ndim == 1:
             X = X[None, :]
             y = y.reshape(1)
@@ -251,7 +187,7 @@ def batch_arrays(batch):
         if not items:
             raise ValueError("empty batch")
         X = np.stack([np.asarray(s.features, dtype=float).reshape(-1) for s in items])
-        y = integer_labels([s.label for s in items])
+        y = whole_numbers("class labels", [s.label for s in items])
     if X.shape[0] == 0:
         raise ValueError("empty batch")
     if X.shape[0] != y.shape[0]:

@@ -2,12 +2,60 @@
 
 These build scalar objective heads on top of a model's scores tape so
 reverse-mode gradients can be checked against finite differences and
-against the optimizer's seeded backward passes.
+against the optimizer's seeded backward passes, and a one-weight model
+for closed-form checks.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from proxfw.autodiff import Ref, Tape
+
+# the toy model's program: its one weight times the input slot
+_TOY_PROGRAM = Tape(1)
+_TOY_PROGRAM.param(0) * _TOY_PROGRAM.input()
+_TOY_MASK = np.ones(1, dtype=bool)
+_TOY_MASK.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class ToyBinaryModel:
+    """One-weight binary scorer: f(w, x) = (w*x, 0).
+
+    The second class's score is constant, so the whole model has a single
+    parameter, and hand calculation stays easy. It serves the model
+    protocol the steps and the solver call: ``param_count``,
+    ``weight_mask``, ``init_params``, ``scores`` and ``batch_scores``.
+    """
+
+    input_dim: int = 1
+    num_classes: int = 2
+    param_count = 1
+
+    def weight_mask(self) -> np.ndarray:
+        return _TOY_MASK
+
+    def init_params(self, seed: int) -> np.ndarray:
+        return np.zeros(1)
+
+    def scores(self, w, x):
+        x = np.asarray(x, dtype=float).reshape(-1)
+        if x.shape != (1,):
+            raise ValueError("ToyBinaryModel takes a single feature")
+        return self._run(w, x)
+
+    def batch_scores(self, w, X):
+        """Scores for a batch of shape (n,) or (n, 1), shape (n, 2)."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim not in (1, 2) or X.shape[1:] not in ((), (1,)):
+            raise ValueError(f"expected inputs of shape (n,) or (n, 1), got {X.shape}")
+        return self._run(w, X.reshape(-1, 1))
+
+    def _run(self, w, X):
+        # feature column(s) X of shape (1,) or (n, 1); the second score is 0
+        tape = _TOY_PROGRAM.replay(np.concatenate([X, np.zeros_like(X)], axis=-1))
+        return tape.forward(w), tape.output
 
 
 def margin_delta(k: int, y: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,6 +11,7 @@ import pytest
 import proxfw.bench as bench_module
 import proxfw.models as models_module
 import proxfw.optimizers as optimizers
+from proxfw.autodiff import Tape
 from proxfw.bench import (
     EVAL_CHUNK_ROWS,
     METRICS_HEADER,
@@ -25,7 +27,6 @@ from proxfw.bench import (
 from proxfw.data import Dataset, SplitDataset, generate_synthetic
 from proxfw.losses import cross_entropy_batch, hinge_loss_batch
 from proxfw.models import ModelSpec
-from proxfw.models import _record as record
 
 
 def small_blobs(noise=1.0, num_classes=4, seed=0):
@@ -245,12 +246,47 @@ def test_evaluate_rejects_an_unknown_loss(loss):
 
 def test_runs_of_one_architecture_record_the_program_once(monkeypatch):
     recorded = []
-    monkeypatch.setattr(models_module, "_record", lambda model: recorded.append(model) or record(model))
-    models_module._program_of.cache_clear()
+
+    class CountingTape(Tape):
+        # replays build their tapes through autodiff's own name, so only
+        # the tapes that models.py records are counted
+        def __init__(self, num_params):
+            recorded.append(num_params)
+            super().__init__(num_params)
+
+    monkeypatch.setattr(models_module, "Tape", CountingTape)
+    models_module._program_and_mask.cache_clear()
     data = small_blobs()
     for optimizer in ("dfw", "adam"):
         run_training(RunConfig(dataset=data, optimizer=optimizer, epochs=1, hidden_dims=(7, 3)))
     assert len(recorded) == 1
+
+
+@pytest.mark.parametrize(
+    "hidden, message",
+    [
+        ("64", "hidden_dims must be a sequence of widths, got '64'"),
+        ((8.9,), "hidden_dims must be whole numbers, got 8.9"),
+        ((8, 2.5), "hidden_dims must be whole numbers, got 2.5"),
+    ],
+)
+def test_widths_that_are_not_whole_numbers_stop_a_run_before_any_step(monkeypatch, hidden, message):
+    def step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(optimizers, "dfw_step", step)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_training(RunConfig(dataset=small_blobs(), epochs=1, hidden_dims=hidden))
+
+
+def test_integer_widths_of_any_type_train_the_same_network():
+    runs = [
+        run_training(RunConfig(dataset=small_blobs(), epochs=1, hidden_dims=hidden))
+        for hidden in ((8,), (np.int64(8),), [8])
+    ]
+    assert runs[0].final_w.shape == (4 * 8 + 8 + 8 * 4 + 4,)
+    for run in runs[1:]:
+        assert np.array_equal(run.final_w, runs[0].final_w)
 
 
 @pytest.mark.parametrize("loss", ["svm", "ce"])

@@ -182,3 +182,52 @@ def test_the_record_tool_prints_seed_wins_and_warns_on_differing_objectives(monk
     assert "solver_certify items_per_ref seeds won against parent: change 2/3" in out
     assert "solver_certify final_objective seeds won against parent: change 0/3" in out
     assert "warning: solver_certify: final_objective differs from parent's: change on seed 3" in err
+
+
+def test_a_median_worse_than_the_first_sides_beyond_its_bound_is_warned_about():
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    assert {m["name"]: m["bound"] for m in declared}["items_per_ref"] == 0.25
+
+    def side(*runs):
+        return {"runs": [{"metrics": {"items_per_ref": r, "peak_rss_mb": mb, "setup_s": s}} for r, mb, s in runs]}
+
+    parent = side((200.0, 80.0, 1.0), (210.0, 81.0, 1.2), (205.0, 79.0, 1.1))
+    # items_per_ref 205 -> 140 is 31.7% worse, past its 25% bound; peak_rss_mb
+    # 80 -> 85 is 6.25% worse, inside its 10% bound; setup_s got better
+    change = side((150.0, 85.0, 0.5), (140.0, 86.0, 0.6), (130.0, 84.0, 0.4))
+    warning = _tool().bound_report("dfw_blobs", {"sides": {"parent": parent, "change": change}}, declared)
+    assert warning == (
+        "warning: dfw_blobs: median worse than parent's beyond the metric's bound: "
+        "change items_per_ref 205 -> 140 (-31.7%, bound 25%)"
+    )
+    # 205 -> 160 is 22% worse, inside the bound
+    inside = side((160.0, 85.0, 0.5), (150.0, 86.0, 0.6), (170.0, 84.0, 0.4))
+    assert _tool().bound_report("dfw_blobs", {"sides": {"parent": parent, "change": inside}}, declared) is None
+    assert _tool().bound_report("dfw_blobs", {"sides": {"parent": parent, "change": parent}}, declared) is None
+
+
+def test_the_record_tool_prints_the_bound_warning_on_stderr(monkeypatch, tmp_path, capsys):
+    tool = _tool()
+    rss = {"parent": iter([80.0, 81.0, 79.0]), "change": iter([90.0, 91.0, 92.0])}
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        side = Path(checkout).name
+        return {"seed": seed, "attempted": 1, "failed": 0, "metrics": {"peak_rss_mb": next(rss[side])},
+                "units": {"peak_rss_mb": "MB"}, "environment": {}, "counts": {"reference_s": 0.005}}
+
+    def copy_side(spec, dest):
+        name, _, _ = spec.partition("=")
+        return name, tmp_path, tmp_path / name
+
+    monkeypatch.setattr(tool, "run_once", run_once)
+    monkeypatch.setattr(tool, "_copy_side", copy_side)
+    monkeypatch.setattr(tool, "describe_side", lambda checkout: {})
+    monkeypatch.setattr(tool, "check_record", lambda record: None)
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    declared = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 1, "workloads": [{"name": "adam_wide_libsvm"}], "end_to_end": declared})
+    )
+    tool.main(["--out", str(tmp_path / "BENCH_0.json"), "--side", "parent=.", "--side", "change=.", "--seeds", "1-3"])
+    _, err = capsys.readouterr()
+    assert "change peak_rss_mb 80 -> 91 (+13.8%, bound 10%)" in err

@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from proxfw.autodiff import backward_grad
-from proxfw.models import ModelSpec, Sample, ToyBinaryModel, batch_arrays
+from proxfw.models import ModelSpec, Sample, batch_arrays
+
+from helpers import ToyBinaryModel
 
 
 def test_linear_param_count():
@@ -88,6 +92,28 @@ def test_equal_specs_share_program_and_weight_mask():
     assert a._program is b._program
     assert a.weight_mask() is b.weight_mask()
     assert ModelSpec("mlp", 3, 2, (5,))._program is not a._program
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"hidden_dims": "64"}, "hidden_dims must be a sequence of widths, got '64'"),
+        ({"hidden_dims": (8.9,)}, "hidden_dims must be whole numbers, got 8.9"),
+        ({"input_dim": 3.5}, "input_dim must be a whole number, got 3.5"),
+        ({"num_classes": 2.5}, "num_classes must be a whole number, got 2.5"),
+    ],
+)
+def test_sizes_that_are_not_whole_numbers_are_rejected_by_name(field, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ModelSpec(**{"kind": "mlp", "input_dim": 3, "num_classes": 2, "hidden_dims": (4,), **field})
+
+
+def test_whole_number_sizes_of_any_type_build_the_same_spec():
+    for hidden in ((64,), [64], (np.int64(64),), np.array([64]), (64.0,)):
+        spec = ModelSpec("mlp", np.int64(20), np.int64(10), hidden)
+        assert spec == ModelSpec("mlp", 20, 10, (64,))
+        assert [type(v) for v in (spec.input_dim, spec.num_classes, *spec.hidden_dims)] == [int] * 3
+        assert spec.param_count == 1994
 
 
 def test_bias_free_linear_scores_are_homogeneous():

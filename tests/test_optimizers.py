@@ -5,7 +5,7 @@ import pytest
 
 from proxfw.autodiff import fd_gradient_oracle
 from proxfw.data import generate_synthetic
-from proxfw.models import ModelSpec, Sample, ToyBinaryModel, init_params
+from proxfw.models import ModelSpec, Sample, init_params
 from proxfw.proximal import proximal_fw_solve
 from proxfw.optimizers import (
     BASELINE_KINDS,
@@ -20,7 +20,7 @@ from proxfw.optimizers import (
     sgd_nesterov_step,
 )
 
-from helpers import ce_objective_ref, head_value
+from helpers import ToyBinaryModel, ce_objective_ref, head_value
 
 
 TOY = ToyBinaryModel()

@@ -7,7 +7,7 @@ from proxfw import proximal
 from proxfw.autodiff import Tape
 from proxfw.data import generate_synthetic
 from proxfw.losses import hinge_loss_batch
-from proxfw.models import ModelSpec, Sample, ToyBinaryModel
+from proxfw.models import ModelSpec, Sample
 from proxfw.proximal import (
     DualVertex,
     ProximalState,
@@ -17,6 +17,8 @@ from proxfw.proximal import (
     proximal_fw_solve,
     single_step_size,
 )
+
+from helpers import ToyBinaryModel
 
 
 def mk_state(w0, w, lam, eta):

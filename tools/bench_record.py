@@ -32,7 +32,9 @@ side's median raw ``items_per_s``, the figures that stay comparable then.
 Then one line per end-to-end metric of ``BENCHMARK.json`` gives, per
 later side, the seeds on which it beats the first side in the metric's
 ``better`` direction, and the tool warns on stderr when a seed's
-``final_objective`` differs between sides.
+``final_objective`` differs between sides, and when a later side's median
+of an end-to-end metric is worse than the first side's by more than the
+metric's ``bound`` (a share of the first side's median).
 """
 
 from __future__ import annotations
@@ -196,6 +198,10 @@ def rate_report(workload, block) -> str:
     return f"{workload} items_per_s, median: {', '.join(shown)}"
 
 
+def _per_seed(side, metric) -> list:
+    return [run["metrics"].get(metric) for run in side["runs"]]
+
+
 def pair_report(workload, block, metrics) -> tuple:
     """``(lines, warning)`` comparing each later side with the first, seed by seed.
 
@@ -208,16 +214,12 @@ def pair_report(workload, block, metrics) -> tuple:
     same numbers.
     """
     (first, base), *later = block["sides"].items()
-
-    def per_seed(side, metric):
-        return [run["metrics"].get(metric) for run in side["runs"]]
-
     lines = []
     for metric in metrics:
         name, better = metric["name"], metric["better"]
         shown = []
         for side_name, side in later:
-            pairs = list(zip(per_seed(side, name), per_seed(base, name)))
+            pairs = list(zip(_per_seed(side, name), _per_seed(base, name)))
             if any(None in pair for pair in pairs):
                 shown.append(f"{side_name} n/a")
                 continue
@@ -226,7 +228,7 @@ def pair_report(workload, block, metrics) -> tuple:
         lines.append(f"{workload} {name} seeds won against {first}: {', '.join(shown)}")
     differ = []
     for side_name, side in later:
-        objectives = zip(block["seeds"], per_seed(side, "final_objective"), per_seed(base, "final_objective"))
+        objectives = zip(block["seeds"], _per_seed(side, "final_objective"), _per_seed(base, "final_objective"))
         seeds = [str(seed) for seed, a, b in objectives if a != b]
         if seeds:
             differ.append(f"{side_name} on seed {', '.join(seeds)}")
@@ -234,6 +236,34 @@ def pair_report(workload, block, metrics) -> tuple:
     if differ:
         warning = f"warning: {workload}: final_objective differs from {first}'s: {'; '.join(differ)}"
     return lines, warning
+
+
+def bound_report(workload, block, metrics):
+    """A warning, or None, on every later side whose median of a metric is
+    worse than the first side's by more than the metric's ``bound``.
+
+    ``metrics`` are the ``end_to_end`` entries of ``BENCHMARK.json``; a
+    bound is a share of the first side's median, and "worse" follows the
+    metric's ``better`` direction. A metric without a bound, or that some
+    run does not report, is skipped.
+    """
+    (first, base), *later = block["sides"].items()
+    worse = []
+    for metric in metrics:
+        name, bound = metric["name"], metric.get("bound")
+        base_values = _per_seed(base, name)
+        for side_name, side in later:
+            values = _per_seed(side, name)
+            if bound is None or None in values + base_values:
+                continue
+            ref, median = quartiles(base_values)[1], quartiles(values)[1]
+            loss = median - ref if metric["better"] == "lower" else ref - median
+            if loss > bound * abs(ref):
+                change = f"{(median - ref) / abs(ref):+.1%}" if ref else "from 0"
+                worse.append(f"{side_name} {name} {ref:.4g} -> {median:.4g} ({change}, bound {bound:.0%})")
+    if not worse:
+        return None
+    return f"warning: {workload}: median worse than {first}'s beyond the metric's bound: {'; '.join(worse)}"
 
 
 def check_record(record: dict) -> None:
@@ -330,7 +360,8 @@ def main(argv=None) -> int:
                 lines, pair_warning = pair_report(workload, blocks["untraced"], benchmark["end_to_end"])
                 for line in lines:
                     print(line, flush=True)
-                for warning in (ref_warning, pair_warning):
+                bound_warning = bound_report(workload, blocks["untraced"], benchmark["end_to_end"])
+                for warning in (ref_warning, pair_warning, bound_warning):
                     if warning:
                         log(warning)
     check_record(record)
