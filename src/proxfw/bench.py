@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import losses, models, optimizers
-from ._checks import positive
+from ._checks import positive, whole_numbers
 from .data import SplitDataset
 
 __all__ = [
@@ -64,6 +64,10 @@ class RunConfig:
     loss: str = "svm"
     direction_mode: str = "auto"
     lr_schedule: str | tuple = "auto"
+
+    def __post_init__(self):
+        for name in ("batch_size", "epochs"):
+            object.__setattr__(self, name, int(whole_numbers(name, getattr(self, name))))
 
     def resolved_mode(self, num_classes: int) -> str:
         if self.direction_mode == "auto":

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import nonnegative, positive
-from .losses import _check_mode, cross_entropy_batch, one_hot, softmax_batch
-from .models import batch_arrays
-from .proximal import _direction_terms, single_step_size
+from ._checks import nonnegative, positive, whole_numbers
+from .losses import _check_mode, augmented_scores_batch, conditional_vertex_batch
+from .losses import cross_entropy_batch, softmax_batch
+from .proximal import _anchor, _direction_terms, single_step_size
 
 __all__ = [
     "DFWState",
@@ -192,9 +192,9 @@ def effective_lr(state: BaselineState) -> float:
 
 
 def checked_schedule(schedule) -> tuple:
-    """``schedule`` as ``(int epoch, float multiplier)`` pairs, every
-    multiplier finite and positive."""
-    pairs = tuple((int(e), float(m)) for e, m in schedule)
+    """``schedule`` as ``(int epoch, float multiplier)`` pairs, every epoch
+    a whole number and every multiplier finite and positive."""
+    pairs = tuple((int(whole_numbers("lr schedule epoch", e)), float(m)) for e, m in schedule)
     for _, mult in pairs:
         positive("lr schedule multiplier", mult)
     return pairs
@@ -211,18 +211,16 @@ def _objective_gradient(w, batch, model, l2: float, loss: str):
 
     Returns ``(gradient, mean_loss, batch_size)``.
     """
+    if loss not in LOSSES:
+        raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
+    F, ref, y, onehot, r, n = _anchor(w, batch, model, l2)
     if loss == "svm":
-        r, delta, _, mean_hinge, _, n = _direction_terms(w, batch, model, l2, "conditional")
-        return r + delta, mean_hinge, n
-    if loss == "ce":
-        X, y = batch_arrays(batch)
-        n = X.shape[0]
-        F, ref = model.batch_scores(w, X)
-        seed = (softmax_batch(F) - one_hot(y, F.shape[1])) / n
-        g_loss = ref.tape.backward(seed=seed, at=ref)
-        r = l2 * np.asarray(w, dtype=float) * model.weight_mask()
-        return r + g_loss, float(cross_entropy_batch(F, y).sum() / n), n
-    raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
+        aug = augmented_scores_batch(F, y)
+        S, mean_loss = conditional_vertex_batch(aug), aug.max(axis=1).sum() / n
+    else:
+        S, mean_loss = softmax_batch(F), cross_entropy_batch(F, y).sum() / n
+    g_loss = ref.tape.backward(seed=(S - onehot) / n, at=ref)
+    return r + g_loss, float(mean_loss), n
 
 
 def sgd_nesterov_step(state: BaselineState, batch, model):

@@ -19,12 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import nonnegative, positive
-from .losses import (
-    augmented_scores_batch,
-    dual_direction_batch,
-    one_hot,
-)
+from ._checks import nonnegative, positive, whole_numbers
+from .losses import augmented_scores_batch, dual_direction_batch, one_hot
 from .models import batch_arrays
 
 __all__ = [
@@ -101,6 +97,8 @@ def optimal_step_size(state: ProximalState, vertex: DualVertex) -> float:
     ``DEGENERATE_DENOM``) return 0.
     """
     positive("eta", state.eta)
+    if vertex.w.shape != state.w.shape:
+        raise ValueError(f"vertex w has shape {vertex.w.shape}, state w has shape {state.w.shape}")
     moved = state.w - state.w0
     gap_dir = moved - vertex.w
     denom = float(np.vdot(gap_dir, gap_dir))
@@ -158,6 +156,16 @@ def _rescaled_ratio(x, y, c, k) -> float:
         return float((float(xs @ ys) * a / b + c / b * k / b) / float(ys @ ys))
 
 
+def _anchor(w, batch, model, l2: float):
+    """``(F, ref, y, onehot, r, n)`` of ``batch`` at ``w``: the scores and
+    their tape node, the labels and their one-hot rows, the regularizer
+    gradient (biases excluded) and the batch size. Every pass reads these."""
+    X, y = batch_arrays(batch)
+    w = np.asarray(w, dtype=float)
+    F, ref = model.batch_scores(w, X)
+    return F, ref, y, one_hot(y, F.shape[1]), l2 * w * model.weight_mask(), X.shape[0]
+
+
 def _direction_terms(w, batch, model, l2: float, mode: str):
     """Shared per-batch computation for the one-pass step.
 
@@ -166,16 +174,11 @@ def _direction_terms(w, batch, model, l2: float, mode: str):
     gradient of the mean direction-weighted augmented scores, and
     ``loss_term`` the mean s'b used in the step-size numerator.
     """
-    X, y = batch_arrays(batch)
-    n = X.shape[0]
-    w = np.asarray(w, dtype=float)
-    F, ref = model.batch_scores(w, X)
-    onehot = one_hot(y, F.shape[1])
+    F, ref, y, onehot, r, n = _anchor(w, batch, model, l2)
     aug = augmented_scores_batch(F, y)
     S, switched = dual_direction_batch(aug, F, mode)
     loss_term = float((S * aug).sum() / n)
     delta = ref.tape.backward(seed=(S - onehot) / n, at=ref)
-    r = l2 * w * model.weight_mask()
     mean_hinge = float(aug.max(axis=1).sum() / n)
     return r, delta, loss_term, mean_hinge, switched, n
 
@@ -187,6 +190,7 @@ def conditional_gradient_primal(w, batch, model, l2: float = 0.0, mode: str = "c
     excluded) and the gradient of the mean direction-weighted augmented
     scores, obtained from a single backward pass.
     """
+    nonnegative("l2", l2)
     r, delta, _, _, _, _ = _direction_terms(w, batch, model, l2, mode)
     return r, delta
 
@@ -218,16 +222,12 @@ def proximal_fw_solve(
     """
     positive("eta", eta)
     nonnegative("l2", l2)
+    max_iters = int(whole_numbers("max_iters", max_iters))
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     w0 = np.asarray(w0, dtype=float)
-    X, y = batch_arrays(batch)
-    n = X.shape[0]
-
-    r = l2 * w0 * model.weight_mask()
-    F0, ref = model.batch_scores(w0, X)
+    F0, ref, y, onehot, r, n = _anchor(w0, batch, model, l2)
     tape = ref.tape
-    onehot = one_hot(y, F0.shape[1])
     aug0 = augmented_scores_batch(F0, y)
 
     state = ProximalState(w0=w0, w=w0 - eta * r, lam=0.0, eta=eta)

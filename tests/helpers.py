@@ -84,12 +84,15 @@ def hinge_objective_ref(model, x, y: int, l2: float = 0.0) -> Ref:
     return head
 
 
-def ce_objective_ref(model, x, y: int) -> Ref:
-    """Scalar head: max-shifted cross-entropy of the scores."""
+def ce_objective_ref(model, x, y: int, l2: float = 0.0) -> Ref:
+    """Scalar head: max-shifted cross-entropy of the scores + (l2/2) |weights|^2."""
     _, sref = model.scores(np.zeros(model.param_count), x)
     m = sref.max()
     lse = m + (sref - m).exp().total().log()
-    return lse - sref.select(y)
+    head = lse - sref.select(y)
+    if l2:
+        head = head + l2_head_ref(sref.tape, model.weight_mask(), l2)
+    return head
 
 
 def weighted_aug_ref(model, x, y: int, weights) -> Ref:

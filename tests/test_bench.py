@@ -218,6 +218,21 @@ def test_run_config_validation():
             run_training(replace(config, lr_schedule=text))
 
 
+
+@pytest.mark.parametrize("field, value", [("epochs", 2.5), ("batch_size", 16.5)])
+def test_counts_that_are_not_whole_numbers_are_rejected_by_name(field, value):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be a whole number, got {value!r}")):
+        RunConfig(dataset=small_blobs(), **{field: value})
+
+
+def test_whole_number_counts_of_any_type_train_the_same_run():
+    counts = ((2, 16), (2.0, 16.0), (np.int64(2), np.float64(16.0)))
+    configs = [RunConfig(dataset=small_blobs(), epochs=e, batch_size=b) for e, b in counts]
+    assert all(type(c.epochs) is int and type(c.batch_size) is int for c in configs)
+    runs = [run_training(config) for config in configs]
+    for run in runs[1:]:
+        assert np.array_equal(run.final_w, runs[0].final_w)
+
 def test_sweep_checks_its_shared_settings_once_before_the_grid(monkeypatch):
     data = small_blobs()
     trained = []

@@ -125,11 +125,16 @@ def test_the_pair_line_counts_seed_wins_and_objective_mismatches_are_warned_abou
         },
     }
     metrics = [{"name": "items_per_ref", "better": "higher"}]
-    lines, warning = _tool().pair_report("solver_certify", block, metrics)
-    assert lines == ["solver_certify items_per_ref seeds won against parent: change 2/4, other 3/4"]
-    assert warning == "warning: solver_certify: final_objective differs from parent's: other on seed 2, 4"
+    lines, warnings = _tool().pair_report("solver_certify", block, metrics)
+    # parent quartiles 20.75, 21.5, 22.25: IQR 1.5 is 7.0% of 21.5; the
+    # medians 23.5 and 22 are 9.3% and 2.3% above it
+    assert lines == [
+        "solver_certify items_per_ref seeds won against parent: "
+        "change 2/4 (median +9.3%, parent IQR 7.0%), other 3/4 (median +2.3%, parent IQR 7.0%)"
+    ]
+    assert warnings == ["warning: solver_certify: final_objective differs from parent's: other on seed 2, 4"]
     del block["sides"]["other"]
-    assert _tool().pair_report("solver_certify", block, metrics)[1] is None
+    assert _tool().pair_report("solver_certify", block, metrics)[1] == []
 
 
 def test_the_pair_lines_count_wins_for_every_end_to_end_metric_in_its_better_direction():
@@ -145,13 +150,17 @@ def test_the_pair_lines_count_wins_for_every_end_to_end_metric_in_its_better_dir
             "change": side((199.0, 76.0), (211.0, 86.0), (204.0, 75.0)),  # lower rss twice, one tie
         },
     }
-    lines, warning = _tool().pair_report("adam_wide_libsvm", block, declared)
-    won = {"items_per_ref": "1/3", "peak_rss_mb": "2/3"}
+    lines, warnings = _tool().pair_report("adam_wide_libsvm", block, declared)
+    # items_per_ref 205 -> 204, parent IQR 5 of 205; peak_rss_mb 85 -> 76, parent IQR 1 of 85
+    won = {
+        "items_per_ref": "1/3 (median -0.5%, parent IQR 2.4%)",
+        "peak_rss_mb": "2/3 (median -10.6%, parent IQR 1.2%)",
+    }
     assert lines == [
         f"adam_wide_libsvm {m['name']} seeds won against parent: change {won.get(m['name'], 'n/a')}"
         for m in declared
     ]
-    assert warning is None
+    assert warnings == []
 
 
 def test_the_record_tool_prints_seed_wins_and_warns_on_differing_objectives(monkeypatch, tmp_path, capsys):
@@ -179,8 +188,9 @@ def test_the_record_tool_prints_seed_wins_and_warns_on_differing_objectives(monk
     )
     tool.main(["--out", str(tmp_path / "BENCH_0.json"), "--side", "parent=.", "--side", "change=.", "--seeds", "1-3"])
     out, err = capsys.readouterr()
-    assert "solver_certify items_per_ref seeds won against parent: change 2/3" in out
-    assert "solver_certify final_objective seeds won against parent: change 0/3" in out
+    # items_per_ref 21 -> 25, parent IQR 1 of 21; final_objective medians are both 1
+    assert "solver_certify items_per_ref seeds won against parent: change 2/3 (median +19.0%, parent IQR 4.8%)" in out
+    assert "solver_certify final_objective seeds won against parent: change 0/3 (median +0.0%, parent IQR 0.0%)" in out
     assert "warning: solver_certify: final_objective differs from parent's: change on seed 3" in err
 
 
@@ -195,15 +205,19 @@ def test_a_median_worse_than_the_first_sides_beyond_its_bound_is_warned_about():
     # items_per_ref 205 -> 140 is 31.7% worse, past its 25% bound; peak_rss_mb
     # 80 -> 85 is 6.25% worse, inside its 10% bound; setup_s got better
     change = side((150.0, 85.0, 0.5), (140.0, 86.0, 0.6), (130.0, 84.0, 0.4))
-    warning = _tool().bound_report("dfw_blobs", {"sides": {"parent": parent, "change": change}}, declared)
-    assert warning == (
+
+    def warnings(change):
+        block = {"seeds": [1, 2, 3], "sides": {"parent": parent, "change": change}}
+        return _tool().pair_report("dfw_blobs", block, declared)[1]
+
+    assert warnings(change) == [
         "warning: dfw_blobs: median worse than parent's beyond the metric's bound: "
         "change items_per_ref 205 -> 140 (-31.7%, bound 25%)"
-    )
+    ]
     # 205 -> 160 is 22% worse, inside the bound
     inside = side((160.0, 85.0, 0.5), (150.0, 86.0, 0.6), (170.0, 84.0, 0.4))
-    assert _tool().bound_report("dfw_blobs", {"sides": {"parent": parent, "change": inside}}, declared) is None
-    assert _tool().bound_report("dfw_blobs", {"sides": {"parent": parent, "change": parent}}, declared) is None
+    assert warnings(inside) == []
+    assert warnings(parent) == []
 
 
 def test_the_record_tool_prints_the_bound_warning_on_stderr(monkeypatch, tmp_path, capsys):

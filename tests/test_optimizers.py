@@ -5,6 +5,7 @@ import pytest
 
 from proxfw.autodiff import fd_gradient_oracle
 from proxfw.data import generate_synthetic
+from proxfw.losses import augmented_scores
 from proxfw.models import ModelSpec, Sample, init_params
 from proxfw.proximal import proximal_fw_solve
 from proxfw.optimizers import (
@@ -20,7 +21,7 @@ from proxfw.optimizers import (
     sgd_nesterov_step,
 )
 
-from helpers import ToyBinaryModel, ce_objective_ref, head_value
+from helpers import ToyBinaryModel, ce_objective_ref, head_value, hinge_objective_ref
 
 
 TOY = ToyBinaryModel()
@@ -149,6 +150,20 @@ def test_sgd_schedule_multiplies_reached_marks():
     assert effective_lr(stacked) == pytest.approx(0.1 * 0.04)
 
 
+
+@pytest.mark.parametrize("epoch", [1.5, np.float64(2.7)])
+def test_schedule_epochs_that_are_not_whole_numbers_are_rejected(epoch):
+    message = f"lr schedule epoch must be a whole number, got {float(epoch)!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BaselineState(kind="sgd", w=np.zeros(2), lr=0.1, schedule=((epoch, 0.2),))
+
+
+def test_whole_number_schedule_epochs_of_any_type_become_ints():
+    for epoch in (3, 3.0, np.int64(3), np.float64(3.0)):
+        state = BaselineState(kind="sgd", w=np.zeros(2), lr=0.1, schedule=((epoch, 0.2),))
+        assert state.schedule == ((3, 0.2),)
+        assert type(state.schedule[0][0]) is int
+
 def test_sgd_zero_gradient_drifts_on_momentum():
     # margin satisfied at w=2 so the hinge gradient vanishes
     state = BaselineState(
@@ -160,19 +175,25 @@ def test_sgd_zero_gradient_drifts_on_momentum():
     assert np.allclose(new.w, new.velocity * 0.9 + 2.0)
 
 
-def test_sgd_ce_gradient_matches_finite_differences():
+@pytest.mark.parametrize("l2", [0.0, 1e-2])
+@pytest.mark.parametrize("loss", ["svm", "ce"])
+def test_sgd_gradient_matches_finite_differences(loss, l2):
     model = ModelSpec("mlp", input_dim=3, num_classes=4, hidden_dims=(5,))
     rng = np.random.default_rng(3)
     w = init_params(model, seed=9)
     x, y = rng.normal(size=3), 2
-    state = BaselineState(kind="sgd", w=w, lr=0.05, momentum=0.0, l2=0.0, loss="ce")
+    state = BaselineState(kind="sgd", w=w, lr=0.05, momentum=0.0, l2=l2, loss=loss)
     new, _ = sgd_nesterov_step(state, [Sample(x, y)], model)
     g_implied = (w - new.w) / 0.05
+    if loss == "svm":
+        # the hinge argmax must not change under the 1e-5 probes
+        top2 = np.sort(augmented_scores(model.scores(w, x)[0], y))[-2:]
+        assert top2[1] - top2[0] > 1e-3
+        head = hinge_objective_ref(model, x, y, l2=l2)
+    else:
+        head = ce_objective_ref(model, x, y, l2=l2)
 
-    def ce_at(wv):
-        return head_value(ce_objective_ref(model, x, y), wv)
-
-    g_fd = fd_gradient_oracle(ce_at, w)
+    g_fd = fd_gradient_oracle(lambda wv: head_value(head, wv), w)
     denom = max(np.linalg.norm(g_fd), 1e-12)
     assert np.linalg.norm(g_implied - g_fd) / denom < 1e-6
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,31 @@ def test_proximal_fw_solve_rejects_bad_arguments():
         with pytest.raises(ValueError, match="l2 must be finite and nonnegative"):
             proximal_fw_solve(np.zeros(1), Sample(np.array([1.0]), 0), model, eta=1.0, l2=l2)
 
+
+
+@pytest.mark.parametrize("l2", [-1.0, float("nan"), float("inf")])
+def test_conditional_gradient_primal_rejects_a_bad_l2(l2):
+    model = ModelSpec("linear", input_dim=2, num_classes=3)
+    w, batch = np.ones(model.param_count), Sample(np.array([1.0, -1.0]), 1)
+    with pytest.raises(ValueError, match="l2 must be finite and nonnegative"):
+        conditional_gradient_primal(w, batch, model, l2=l2)
+
+
+def test_optimal_step_size_rejects_a_vertex_of_another_shape():
+    state = mk_state([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], lam=0.0, eta=1.0)
+    with pytest.raises(ValueError, match=re.escape("vertex w has shape (1,), state w has shape (3,)")):
+        optimal_step_size(state, DualVertex(w=np.zeros(1), lam=1.0))
+
+
+def test_solver_iteration_count_must_be_a_whole_number():
+    model = ModelSpec("linear", input_dim=2, num_classes=3)
+    w0, batch = np.ones(model.param_count), Sample(np.array([1.0, 2.0]), 0)
+    with pytest.raises(ValueError, match="max_iters must be a whole number, got 2.5"):
+        proximal_fw_solve(w0, batch, model, eta=0.5, max_iters=2.5, gap_tol=0.0)
+    w_int, diag_int = proximal_fw_solve(w0, batch, model, eta=0.5, max_iters=3, gap_tol=0.0)
+    w_float, diag_float = proximal_fw_solve(w0, batch, model, eta=0.5, max_iters=3.0, gap_tol=0.0)
+    assert diag_float.iterations == diag_int.iterations == 3
+    assert np.array_equal(w_float, w_int)
 
 def _call_with_eta(entry, eta):
     if entry == "state":

@@ -31,10 +31,12 @@ other one skews every ``ref``-normalized metric. A second line gives each
 side's median raw ``items_per_s``, the figures that stay comparable then.
 Then one line per end-to-end metric of ``BENCHMARK.json`` gives, per
 later side, the seeds on which it beats the first side in the metric's
-``better`` direction, and the tool warns on stderr when a seed's
-``final_objective`` differs between sides, and when a later side's median
-of an end-to-end metric is worse than the first side's by more than the
-metric's ``bound`` (a share of the first side's median).
+``better`` direction, the change of its median from the first side's,
+and the first side's IQR as a share of its median, so a claimed gain can
+be set against the first side's spread. The tool warns on stderr when a
+seed's ``final_objective`` differs between sides, and when a later side's
+median of an end-to-end metric is worse than the first side's by more
+than the metric's ``bound`` (a share of the first side's median).
 """
 
 from __future__ import annotations
@@ -203,28 +205,40 @@ def _per_seed(side, metric) -> list:
 
 
 def pair_report(workload, block, metrics) -> tuple:
-    """``(lines, warning)`` comparing each later side with the first, seed by seed.
+    """``(lines, warnings)`` comparing each later side with the first.
 
     ``metrics`` are the ``end_to_end`` entries of ``BENCHMARK.json``. One
     line per metric gives, per later side, on how many seeds it beats the
     first side in the metric's ``better`` direction (a tie counts for
-    neither; ``n/a`` when the runs do not all report the metric). The
-    warning is None unless some seed's ``final_objective`` differs between
-    the first side and another, which means the sides did not compute the
-    same numbers.
+    neither), the change of its median from the first side's median, and
+    the first side's IQR as a share of that median; ``n/a`` when the runs
+    do not all report the metric. One warning names the seeds whose
+    ``final_objective`` differs between the first side and another, which
+    means the sides did not compute the same numbers. Another names every
+    later side whose median is worse than the first side's by more than
+    the metric's ``bound`` (a share of the first side's median); a metric
+    without a bound is not checked.
     """
     (first, base), *later = block["sides"].items()
-    lines = []
+    lines, worse = [], []
     for metric in metrics:
-        name, better = metric["name"], metric["better"]
+        name, better, bound = metric["name"], metric["better"], metric.get("bound")
+        base_values = _per_seed(base, name)
         shown = []
         for side_name, side in later:
-            pairs = list(zip(_per_seed(side, name), _per_seed(base, name)))
-            if any(None in pair for pair in pairs):
+            values = _per_seed(side, name)
+            if None in values + base_values:
                 shown.append(f"{side_name} n/a")
                 continue
-            wins = sum(a > b if better == "higher" else a < b for a, b in pairs)
-            shown.append(f"{side_name} {wins}/{len(pairs)}")
+            wins = sum(a > b if better == "higher" else a < b for a, b in zip(values, base_values))
+            q1, ref, q3 = quartiles(base_values)
+            median = quartiles(values)[1]
+            change = f"{(median - ref) / abs(ref):+.1%}" if ref else "from 0"
+            spread = f"{(q3 - q1) / abs(ref):.1%}" if ref else "n/a"
+            shown.append(f"{side_name} {wins}/{len(values)} (median {change}, {first} IQR {spread})")
+            loss = median - ref if better == "lower" else ref - median
+            if bound is not None and loss > bound * abs(ref):
+                worse.append(f"{side_name} {name} {ref:.4g} -> {median:.4g} ({change}, bound {bound:.0%})")
         lines.append(f"{workload} {name} seeds won against {first}: {', '.join(shown)}")
     differ = []
     for side_name, side in later:
@@ -232,38 +246,14 @@ def pair_report(workload, block, metrics) -> tuple:
         seeds = [str(seed) for seed, a, b in objectives if a != b]
         if seeds:
             differ.append(f"{side_name} on seed {', '.join(seeds)}")
-    warning = None
+    warnings = []
     if differ:
-        warning = f"warning: {workload}: final_objective differs from {first}'s: {'; '.join(differ)}"
-    return lines, warning
-
-
-def bound_report(workload, block, metrics):
-    """A warning, or None, on every later side whose median of a metric is
-    worse than the first side's by more than the metric's ``bound``.
-
-    ``metrics`` are the ``end_to_end`` entries of ``BENCHMARK.json``; a
-    bound is a share of the first side's median, and "worse" follows the
-    metric's ``better`` direction. A metric without a bound, or that some
-    run does not report, is skipped.
-    """
-    (first, base), *later = block["sides"].items()
-    worse = []
-    for metric in metrics:
-        name, bound = metric["name"], metric.get("bound")
-        base_values = _per_seed(base, name)
-        for side_name, side in later:
-            values = _per_seed(side, name)
-            if bound is None or None in values + base_values:
-                continue
-            ref, median = quartiles(base_values)[1], quartiles(values)[1]
-            loss = median - ref if metric["better"] == "lower" else ref - median
-            if loss > bound * abs(ref):
-                change = f"{(median - ref) / abs(ref):+.1%}" if ref else "from 0"
-                worse.append(f"{side_name} {name} {ref:.4g} -> {median:.4g} ({change}, bound {bound:.0%})")
-    if not worse:
-        return None
-    return f"warning: {workload}: median worse than {first}'s beyond the metric's bound: {'; '.join(worse)}"
+        warnings.append(f"warning: {workload}: final_objective differs from {first}'s: {'; '.join(differ)}")
+    if worse:
+        warnings.append(
+            f"warning: {workload}: median worse than {first}'s beyond the metric's bound: {'; '.join(worse)}"
+        )
+    return lines, warnings
 
 
 def check_record(record: dict) -> None:
@@ -357,11 +347,10 @@ def main(argv=None) -> int:
                 line, ref_warning = reference_report(workload, blocks["untraced"])
                 print(line, flush=True)
                 print(rate_report(workload, blocks["untraced"]), flush=True)
-                lines, pair_warning = pair_report(workload, blocks["untraced"], benchmark["end_to_end"])
+                lines, pair_warnings = pair_report(workload, blocks["untraced"], benchmark["end_to_end"])
                 for line in lines:
                     print(line, flush=True)
-                bound_warning = bound_report(workload, blocks["untraced"], benchmark["end_to_end"])
-                for warning in (ref_warning, pair_warning, bound_warning):
+                for warning in (ref_warning, *pair_warnings):
                     if warning:
                         log(warning)
     check_record(record)
