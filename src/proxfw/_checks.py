@@ -15,6 +15,17 @@ def nonnegative(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
+def checked_seed(name: str, value) -> int:
+    """``value`` as a seed for numpy's generators: a nonnegative int of any
+    size, a whole float read as its int; anything else is an error naming
+    ``name``."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        value = int(value)
+    if not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative whole number, got {value!r}")
+    return int(value)
+
+
 def whole_numbers(name: str, values) -> np.ndarray:
     """``values`` as an int array. A value that is not a whole number is an
     error naming ``name``, not truncated; integer arrays pass unchecked."""

@@ -35,7 +35,10 @@ a matmul, add or sub node (whose values no rule reads, only their
 shapes) with no other consumer and the result has its shape, so a wide
 layer keeps one buffer instead of three. The writes are decided as nodes
 are recorded; a later consumer of the operand, such as a head appended
-to a replay, cancels the write.
+to a replay, cancels the write. ``backward`` likewise masks a relu's
+adjoint in the array it received when the relu's only consumer is a
+matmul, whose adjoints are always new arrays; the seed of ``at=`` is
+never written.
 """
 
 from __future__ import annotations
@@ -224,6 +227,9 @@ _RULES = {
         _linear,
     ),
 }
+
+
+_RELU = _RULES["relu"]
 
 
 class Ref:
@@ -437,6 +443,7 @@ class Tape:
         adj: list = [None] * len(nodes)
         if nodes[out_index].live:
             adj[out_index] = seed
+        reader = self._reader
         grad = np.zeros(self.num_params)
         for i in range(len(nodes) - 1, -1, -1):
             g = adj[i]
@@ -450,9 +457,15 @@ class Tape:
             va = vals[ia]
             vb = vals[ib] if ib >= 0 else None
             x = self._aux_at(i) if rule.aux is not None else None
-            # adjoints are never updated in place, so the first write may alias
+            # adjoints are never updated in place, so the first write may
+            # alias; the one exception is a relu's adjoint that its only
+            # consumer, a matmul, made new
             if nodes[ia].live:
-                ga = rule.adjoints[0](g, va, vb, vals[i], x)
+                k = reader[i] if rule is _RELU and i != out_index else -1
+                if k >= 0 and nodes[k].op == "matmul":
+                    ga = np.multiply(g, x, out=g)
+                else:
+                    ga = rule.adjoints[0](g, va, vb, vals[i], x)
                 adj[ia] = ga if adj[ia] is None else adj[ia] + ga
             if ib >= 0 and nodes[ib].live:
                 gb = rule.adjoints[1](g, va, vb, vals[i], x)

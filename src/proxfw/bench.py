@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import losses, models, optimizers
-from ._checks import positive, whole_numbers
+from ._checks import checked_seed, positive, whole_numbers
 from .data import SplitDataset
 
 __all__ = [
@@ -68,6 +68,7 @@ class RunConfig:
     def __post_init__(self):
         for name in ("batch_size", "epochs"):
             object.__setattr__(self, name, int(whole_numbers(name, getattr(self, name))))
+        object.__setattr__(self, "seed", checked_seed("seed", self.seed))
 
     def resolved_mode(self, num_classes: int) -> str:
         if self.direction_mode == "auto":

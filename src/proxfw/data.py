@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import nonnegative, whole_numbers
+from ._checks import checked_seed, nonnegative, whole_numbers
 
 __all__ = [
     "Dataset",
@@ -48,7 +48,7 @@ class DatasetFormatError(ValueError):
 
 @dataclass
 class Dataset:
-    """A labeled set: features (n, d) float64, labels (n,) int64."""
+    """A labeled set: features (n, d) float64, every one finite, labels (n,) int64."""
 
     X: np.ndarray
     y: np.ndarray
@@ -58,6 +58,9 @@ class Dataset:
         self.y = whole_numbers("class labels", self.y)
         if self.X.ndim != 2 or self.X.shape[0] != self.y.shape[0]:
             raise ValueError("features and labels disagree in shape")
+        bad = np.flatnonzero(~np.isfinite(self.X).all(axis=1))
+        if bad.size:
+            raise ValueError(f"features must be finite, row {bad[0]} is not")
 
     def __len__(self):
         return self.X.shape[0]
@@ -133,7 +136,7 @@ def generate_synthetic(
         raise ValueError("need at least two classes")
     nonnegative("noise", noise)
     n = n_train + n_val + n_test
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked_seed("seed", seed))
     y = rng.integers(0, num_classes, size=n)
     if kind == "blobs":
         if d < num_classes:
@@ -297,7 +300,7 @@ def split_dataset(data: Dataset, val_fraction: float, test_fraction: float, seed
     if val_fraction + test_fraction >= 1:
         raise ValueError("val and test fractions leave no training data")
     n = len(data)
-    order = np.random.default_rng([seed, 11]).permutation(n)
+    order = np.random.default_rng([checked_seed("seed", seed), 11]).permutation(n)
     n_val = int(n * val_fraction)
     n_test = int(n * test_fraction)
     return _cut(data.X[order], data.y[order], n - n_val - n_test, n_val)

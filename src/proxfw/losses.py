@@ -54,7 +54,7 @@ def _labeled_row(s, y: int) -> np.ndarray:
     s = _row(s)
     if s.shape[1] < 2:
         raise ValueError("need at least two classes")
-    one_hot([y], s.shape[1])  # rejects a label outside [0, k)
+    _check_labels(np.asarray([y], dtype=int), s.shape[1])
     return s
 
 
@@ -104,12 +104,17 @@ def default_direction_mode(num_classes: int) -> str:
 # batch forms (row-per-sample); same conventions as the scalar versions
 
 
-def one_hot(y, k: int) -> np.ndarray:
-    """Rows of the k x k identity picked by ``y``; every label must lie in [0, k)."""
-    y = np.asarray(y, dtype=int)
+def _check_labels(y: np.ndarray, k: int) -> None:
+    """Reject an int label array with an entry outside [0, k)."""
     bad = y[(y < 0) | (y >= k)]
     if bad.size:
         raise ValueError(f"label {bad[0]} outside [0, {k})")
+
+
+def one_hot(y, k: int) -> np.ndarray:
+    """Rows of the k x k identity picked by ``y``; every label must lie in [0, k)."""
+    y = np.asarray(y, dtype=int)
+    _check_labels(y, k)
     out = np.zeros((y.shape[0], k))
     out[np.arange(y.shape[0]), y] = 1.0
     return out
@@ -138,8 +143,10 @@ def cross_entropy_batch(F, y) -> np.ndarray:
 
 def softmax_batch(F) -> np.ndarray:
     F = np.asarray(F, dtype=float)
-    e = np.exp(F - F.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = F - F.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def conditional_vertex_batch(augF) -> np.ndarray:
@@ -153,13 +160,15 @@ def dual_direction_batch(augF, F, mode: str):
     """Vectorized :func:`dual_direction`. Returns ``(S, switched)``.
 
     ``switched`` counts samples where smoothed mode fell back to the
-    conditional-gradient vertex; it is 0 in conditional mode.
+    conditional-gradient vertex; it is 0 in conditional mode. Only the
+    rows that fall back pick their vertex, written over their softmax row.
     """
     _check_mode(mode)
-    vertices = conditional_vertex_batch(augF)
     if mode == "conditional":
-        return vertices, 0
-    P = softmax_batch(F)
-    keep = (P * augF).sum(axis=1) > 0.0
-    S = np.where(keep[:, None], P, vertices)
-    return S, keep.size - int(np.count_nonzero(keep))
+        return conditional_vertex_batch(augF), 0
+    augF = np.asarray(augF, dtype=float)
+    S = softmax_batch(F)
+    fallback = np.flatnonzero(~((S * augF).sum(axis=1) > 0.0))  # NaN falls back too
+    if fallback.size:
+        S[fallback] = conditional_vertex_batch(augF[fallback])
+    return S, fallback.size

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._checks import whole_numbers
+from ._checks import checked_seed, whole_numbers
 from .autodiff import Tape
 
 __all__ = [
@@ -110,7 +110,7 @@ class ModelSpec:
 
     def init_params(self, seed: int) -> np.ndarray:
         """Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) weights, zero biases."""
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(checked_seed("seed", seed))
         parts = []
         for _, fan_in, fan_out, bias_start in self._slots[0]:
             bound = np.sqrt(1.0 / fan_in)

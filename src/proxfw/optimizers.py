@@ -22,7 +22,7 @@ import numpy as np
 from ._checks import nonnegative, positive, whole_numbers
 from .losses import _check_mode, augmented_scores_batch, conditional_vertex_batch
 from .losses import cross_entropy_batch, softmax_batch
-from .proximal import _anchor, _direction_terms, single_step_size
+from .proximal import _anchor, _backward_seed, _direction_terms, single_step_size
 
 __all__ = [
     "DFWState",
@@ -117,9 +117,14 @@ def _advanced(state, **changes):
 
 
 def _nesterov(state, velocity_step, w_step):
-    """Nesterov momentum update, shared by dfw and sgd; counts the step."""
-    velocity = state.momentum * state.velocity - velocity_step
-    w = state.w - w_step + state.momentum * velocity
+    """Nesterov momentum update, shared by dfw and sgd; counts the step.
+
+    Writes only into arrays it makes: sgd passes one array as both steps.
+    """
+    velocity = state.momentum * state.velocity
+    velocity -= velocity_step
+    w = state.w - w_step
+    w += state.momentum * velocity
     return _advanced(state, w=w, velocity=velocity)
 
 
@@ -135,7 +140,15 @@ def dfw_step(state: DFWState, batch, model):
         state.w, batch, model, state.l2, state.mode
     )
     gamma = single_step_size(r, delta, loss_term, state.eta)
-    new_state = _nesterov(state, (state.eta * gamma) * (r + delta), state.eta * (r + gamma * delta))
+    # the velocity's step eta*gamma*(r + delta), then the point's
+    # eta*(r + gamma*delta) in delta's buffer, which this step owns
+    velocity_step = r + delta
+    velocity_step *= state.eta * gamma
+    w_step = delta
+    w_step *= gamma
+    w_step += r
+    w_step *= state.eta
+    new_state = _nesterov(state, velocity_step, w_step)
     return new_state, StepDiagnostics(
         step_size=gamma, mean_loss=mean_hinge, switched=switched, batch_size=n
     )
@@ -213,14 +226,15 @@ def _objective_gradient(w, batch, model, l2: float, loss: str):
     """
     if loss not in LOSSES:
         raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
-    F, ref, y, onehot, r, n = _anchor(w, batch, model, l2)
+    F, ref, y, r, n = _anchor(w, batch, model, l2)
     if loss == "svm":
         aug = augmented_scores_batch(F, y)
         S, mean_loss = conditional_vertex_batch(aug), aug.max(axis=1).sum() / n
     else:
         S, mean_loss = softmax_batch(F), cross_entropy_batch(F, y).sum() / n
-    g_loss = ref.tape.backward(seed=(S - onehot) / n, at=ref)
-    return r + g_loss, float(mean_loss), n
+    g = ref.tape.backward(seed=_backward_seed(S, y, n), at=ref)
+    g += r
+    return g, float(mean_loss), n
 
 
 def sgd_nesterov_step(state: BaselineState, batch, model):
@@ -228,8 +242,8 @@ def sgd_nesterov_step(state: BaselineState, batch, model):
     if state.kind != "sgd":
         raise ValueError(f"sgd_nesterov_step on state of kind {state.kind!r}")
     g, mean_loss, n = _objective_gradient(state.w, batch, model, state.l2, state.loss)
-    step = effective_lr(state) * g
-    new_state = _nesterov(state, step, step)
+    g *= effective_lr(state)
+    new_state = _nesterov(state, g, g)
     return new_state, StepDiagnostics(
         step_size=None, mean_loss=mean_loss, switched=0, batch_size=n
     )
@@ -242,24 +256,38 @@ def adaptive_baseline_step(state: BaselineState, batch, model):
     g, mean_loss, n = _objective_gradient(state.w, batch, model, state.l2, state.loss)
     lr = effective_lr(state)
     t = state.step_count + 1
+    # g and sq are this step's own arrays: past the new moments, each
+    # formula's operations run in their order inside these two, leaving
+    # lr times the update's numerator in g and its denominator in sq
+    sq = g * g
     if state.kind == "adagrad":
-        accum = state.moments[0] + g * g
-        w = state.w - lr * g / np.sqrt(accum + ADAGRAD_EPS)
+        accum = state.moments[0] + sq
+        np.add(accum, ADAGRAD_EPS, out=sq)
+        np.sqrt(sq, out=sq)
+        g *= lr
         moments = (accum,)
     else:
-        m1 = ADAM_BETA1 * state.moments[0] + (1.0 - ADAM_BETA1) * g
-        m2 = ADAM_BETA2 * state.moments[1] + (1.0 - ADAM_BETA2) * (g * g)
+        sq *= 1.0 - ADAM_BETA2
+        m2 = ADAM_BETA2 * state.moments[1]
+        m2 += sq
+        g *= 1.0 - ADAM_BETA1
+        m1 = ADAM_BETA1 * state.moments[0]
+        m1 += g
         if state.kind == "adam":
-            m1_hat = m1 / (1.0 - ADAM_BETA1**t)
-            m2_hat = m2 / (1.0 - ADAM_BETA2**t)
-            w = state.w - lr * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
+            np.divide(m1, 1.0 - ADAM_BETA1**t, out=g)
+            g *= lr
+            np.divide(m2, 1.0 - ADAM_BETA2**t, out=sq)
+            np.sqrt(sq, out=sq)
             moments = (m1, m2)
         else:
             # keeps the largest second moment seen, no bias correction
             m2_max = np.maximum(state.moments[2], m2)
-            w = state.w - lr * m1 / (np.sqrt(m2_max) + ADAM_EPS)
+            np.multiply(m1, lr, out=g)
+            np.sqrt(m2_max, out=sq)
             moments = (m1, m2, m2_max)
-    new_state = _advanced(state, w=w, moments=moments)
+        sq += ADAM_EPS
+    g /= sq
+    new_state = _advanced(state, w=state.w - g, moments=moments)
     return new_state, StepDiagnostics(
         step_size=None, mean_loss=mean_loss, switched=0, batch_size=n
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._checks import nonnegative, positive, whole_numbers
-from .losses import augmented_scores_batch, dual_direction_batch, one_hot
+from .losses import _check_labels, augmented_scores_batch, dual_direction_batch
 from .models import batch_arrays
 
 __all__ = [
@@ -157,13 +157,24 @@ def _rescaled_ratio(x, y, c, k) -> float:
 
 
 def _anchor(w, batch, model, l2: float):
-    """``(F, ref, y, onehot, r, n)`` of ``batch`` at ``w``: the scores and
-    their tape node, the labels and their one-hot rows, the regularizer
+    """``(F, ref, y, r, n)`` of ``batch`` at ``w``: the scores and their
+    tape node, the labels (each checked to name a class), the regularizer
     gradient (biases excluded) and the batch size. Every pass reads these."""
     X, y = batch_arrays(batch)
     w = np.asarray(w, dtype=float)
     F, ref = model.batch_scores(w, X)
-    return F, ref, y, one_hot(y, F.shape[1]), l2 * w * model.weight_mask(), X.shape[0]
+    _check_labels(y, F.shape[1])
+    r = l2 * w
+    r *= model.weight_mask()
+    return F, ref, y, r, X.shape[0]
+
+
+def _backward_seed(S, y, n: int):
+    """``(S - onehot(y)) / n``, the adjoint of the scores for the simplex
+    points ``S``, written into ``S``'s buffer."""
+    S[np.arange(n), y] -= 1.0
+    S /= n
+    return S
 
 
 def _direction_terms(w, batch, model, l2: float, mode: str):
@@ -174,11 +185,11 @@ def _direction_terms(w, batch, model, l2: float, mode: str):
     gradient of the mean direction-weighted augmented scores, and
     ``loss_term`` the mean s'b used in the step-size numerator.
     """
-    F, ref, y, onehot, r, n = _anchor(w, batch, model, l2)
+    F, ref, y, r, n = _anchor(w, batch, model, l2)
     aug = augmented_scores_batch(F, y)
     S, switched = dual_direction_batch(aug, F, mode)
     loss_term = float((S * aug).sum() / n)
-    delta = ref.tape.backward(seed=(S - onehot) / n, at=ref)
+    delta = ref.tape.backward(seed=_backward_seed(S, y, n), at=ref)
     mean_hinge = float(aug.max(axis=1).sum() / n)
     return r, delta, loss_term, mean_hinge, switched, n
 
@@ -222,11 +233,12 @@ def proximal_fw_solve(
     """
     positive("eta", eta)
     nonnegative("l2", l2)
+    nonnegative("gap_tol", gap_tol)
     max_iters = int(whole_numbers("max_iters", max_iters))
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     w0 = np.asarray(w0, dtype=float)
-    F0, ref, y, onehot, r, n = _anchor(w0, batch, model, l2)
+    F0, ref, y, r, n = _anchor(w0, batch, model, l2)
     tape = ref.tape
     aug0 = augmented_scores_batch(F0, y)
 
@@ -246,7 +258,7 @@ def proximal_fw_solve(
         vertex = memo.get(key)
         if vertex is None:
             lam_s = float((S * aug0).sum() / n)
-            delta = tape.backward(seed=(S - onehot) / n, at=ref)
+            delta = tape.backward(seed=_backward_seed(S, y, n), at=ref)
             vertex = DualVertex(w=-eta * (r + delta), lam=lam_s)
             if len(memo) < _MEMO_BYTES // (len(key) + vertex.w.nbytes):
                 vertex.w.flags.writeable = False

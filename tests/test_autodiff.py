@@ -510,3 +510,80 @@ def test_wide_forward_keeps_one_buffer_per_layer():
         tracemalloc.stop()
     floats = 2 * 512 * 256 + model.param_count + 512 * 4
     assert retained <= 8 * floats + 64 * 1024
+
+
+def test_backward_at_a_relu_leaves_the_seed_unchanged():
+    # the relu's only consumer is a matmul, so below the seeded node its
+    # adjoint is masked in place; the seed itself is the caller's array
+    rng = np.random.default_rng(26)
+    X = rng.normal(size=(7, 3))
+    w = rng.normal(size=26)
+    program, nodes = layered_program()
+    tape = program.replay(X)
+    tape.forward(w)
+    seed = rng.normal(size=(7, 4))
+    kept = seed.copy()
+    g = tape.backward(seed=seed, at=Ref(tape, nodes["r"].index))
+    assert seed.tobytes() == kept.tobytes()
+    mask = np.maximum(X @ w[:12].reshape(3, 4) + w[12:16], 0.0) > 0
+    assert not mask.all()
+    assert g[:12].tobytes() == (X.T @ (kept * mask)).ravel().tobytes()
+
+
+def test_a_relu_that_also_feeds_a_head_on_a_replay_keeps_fresh_adjoints():
+    # on this replay a head reads the relu besides the recorded matmul; add
+    # hands its adjoint through, so the relu's adjoint at the head is the
+    # caller's seed itself and must not be masked in place
+    rng = np.random.default_rng(27)
+    X = rng.normal(size=(7, 3))
+    w = rng.normal(size=26)
+    program, nodes = layered_program()
+    tape = program.replay(X)
+    head = Ref(tape, nodes["r"].index) + 0.0
+    tape.forward(w)
+    seed = rng.normal(size=(7, 4))
+    kept = seed.copy()
+    g = tape.backward(seed=seed, at=head)
+    assert seed.tobytes() == kept.tobytes()
+    mask = np.maximum(X @ w[:12].reshape(3, 4) + w[12:16], 0.0) > 0
+    assert not mask.all()
+    assert g[:12].tobytes() == (X.T @ (kept * mask)).ravel().tobytes()
+    assert g[12:16].tobytes() == (kept * mask).sum(axis=0).tobytes()
+
+
+def test_relu_adjoints_masked_in_place_equal_fresh_ones_bitwise():
+    # the reference replay gives every relu an unused second consumer, which
+    # keeps its adjoint out of place; both sweeps start at the scores node
+    model = ModelSpec("mlp", input_dim=5, num_classes=3, hidden_dims=(6, 6))
+    rng = np.random.default_rng(28)
+    X = rng.normal(size=(9, 5))
+    w = rng.normal(size=model.param_count)
+    seed = rng.normal(size=(9, 3))
+    F, ref = model.batch_scores(w, X)
+    fresh = model._program.replay(X)
+    relus = [i for i, node in enumerate(fresh.nodes) if node.op == "relu"]
+    for i in relus:
+        _ = Ref(fresh, i) * 1.0
+    fresh.forward(w)
+    assert fresh._values[ref.index].tobytes() == F.tobytes()
+    assert all((fresh._values[i] == 0).any() for i in relus)
+    got = ref.tape.backward(seed=seed, at=ref)
+    want = fresh.backward(seed=seed, at=Ref(fresh, ref.index))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_wide_backward_masks_each_relu_adjoint_in_place():
+    # one backward of MLP 32-256-256-4 on 512 rows; a new array per relu
+    # mask, as a plain g * mask makes, took its peak to 5.7 MB
+    model = ModelSpec("mlp", input_dim=32, num_classes=4, hidden_dims=(256, 256))
+    rng = np.random.default_rng(29)
+    X = rng.normal(size=(512, 32))
+    seed = rng.normal(size=(512, 4)) / 512
+    _, ref = model.batch_scores(model.init_params(0), X)
+    tracemalloc.start()
+    try:
+        ref.tape.backward(seed=seed, at=ref)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0e6

@@ -363,3 +363,29 @@ def test_results_do_not_depend_on_the_blas_thread_count(tmp_path):
         outputs.append(files)
     assert len(outputs[0]["dfw"][0]) == len(outputs[0]["adam"][0]) == 3
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, float("nan"), "3", None])
+def test_seeds_that_are_not_nonnegative_whole_numbers_are_rejected_by_name(seed):
+    with pytest.raises(ValueError, match=re.escape(f"seed must be a nonnegative whole number, got {seed!r}")):
+        RunConfig(dataset=small_blobs(), seed=seed)
+
+
+def test_whole_number_seeds_of_any_type_train_the_same_run():
+    seeds = (3, 3.0, np.int64(3), np.float64(3.0))
+    configs = [RunConfig(dataset=small_blobs(), epochs=1, seed=s) for s in seeds]
+    assert all(type(c.seed) is int for c in configs)
+    runs = [run_training(config) for config in configs]
+    for run in runs[1:]:
+        assert run.final_w.tobytes() == runs[0].final_w.tobytes()
+    assert type(RunConfig(dataset=small_blobs(), seed=2**70).seed) is int
+
+
+def test_a_dataset_holding_nan_stops_before_training(monkeypatch):
+    # it used to train into a "diverged" run with no epochs
+    data = small_blobs()
+    X = data.train.X.copy()
+    X[2, 1] = np.nan
+    monkeypatch.setattr(optimizers, "dfw_step", lambda *args: pytest.fail("a step ran"))
+    with pytest.raises(ValueError, match="features must be finite, row 2 is not"):
+        run_training(RunConfig(dataset=replace(data, train=Dataset(X, data.train.y))))

@@ -130,7 +130,8 @@ def test_the_pair_line_counts_seed_wins_and_objective_mismatches_are_warned_abou
     # medians 23.5 and 22 are 9.3% and 2.3% above it
     assert lines == [
         "solver_certify items_per_ref seeds won against parent: "
-        "change 2/4 (median +9.3%, parent IQR 7.0%), other 3/4 (median +2.3%, parent IQR 7.0%)"
+        "change 2/4 (median +9.3%, parent IQR 7.0%): not resolved, "
+        "other 3/4 (median +2.3%, parent IQR 7.0%): not resolved"
     ]
     assert warnings == ["warning: solver_certify: final_objective differs from parent's: other on seed 2, 4"]
     del block["sides"]["other"]
@@ -157,7 +158,7 @@ def test_the_pair_lines_count_wins_for_every_end_to_end_metric_in_its_better_dir
         "peak_rss_mb": "2/3 (median -10.6%, parent IQR 1.2%)",
     }
     assert lines == [
-        f"adam_wide_libsvm {m['name']} seeds won against parent: change {won.get(m['name'], 'n/a')}"
+        f"adam_wide_libsvm {m['name']} seeds won against parent: change {won.get(m['name'], 'n/a')}: not resolved"
         for m in declared
     ]
     assert warnings == []
@@ -189,9 +190,37 @@ def test_the_record_tool_prints_seed_wins_and_warns_on_differing_objectives(monk
     tool.main(["--out", str(tmp_path / "BENCH_0.json"), "--side", "parent=.", "--side", "change=.", "--seeds", "1-3"])
     out, err = capsys.readouterr()
     # items_per_ref 21 -> 25, parent IQR 1 of 21; final_objective medians are both 1
-    assert "solver_certify items_per_ref seeds won against parent: change 2/3 (median +19.0%, parent IQR 4.8%)" in out
-    assert "solver_certify final_objective seeds won against parent: change 0/3 (median +0.0%, parent IQR 0.0%)" in out
+    assert (
+        "solver_certify items_per_ref seeds won against parent: "
+        "change 2/3 (median +19.0%, parent IQR 4.8%): not resolved\n"
+    ) in out
+    assert (
+        "solver_certify final_objective seeds won against parent: "
+        "change 0/3 (median +0.0%, parent IQR 0.0%): not resolved\n"
+    ) in out
     assert "warning: solver_certify: final_objective differs from parent's: change on seed 3" in err
+
+
+def test_a_gain_is_resolved_on_nine_in_ten_seed_wins_and_a_median_gap_past_the_iqr():
+    def side(*rates):
+        return {"runs": [{"metrics": {"items_per_ref": r, "setup_s": r / 100}} for r in rates]}
+
+    # parent quartiles 202.25, 204.5, 206.75: IQR 4.5
+    parent = side(200, 201, 202, 203, 204, 205, 206, 207, 208, 209)
+    metrics = [{"name": "items_per_ref", "better": "higher"}, {"name": "setup_s", "better": "lower"}]
+
+    def verdicts(*rates):
+        block = {"seeds": list(range(10)), "sides": {"parent": parent, "change": side(*rates)}}
+        return [line.rsplit(": ", 1)[1] for line in _tool().pair_report("adam_wide_libsvm", block, metrics)[0]]
+
+    # 9 of 10 seeds won and the median 214.5 is 10 above the parent's
+    assert verdicts(190, 211, 212, 213, 214, 215, 216, 217, 218, 219) == ["gain resolved", "not resolved"]
+    # 8 of 10 won, with a median gap of 9, past the IQR
+    assert verdicts(190, 191, 212, 213, 214, 215, 216, 217, 218, 219) == ["not resolved", "not resolved"]
+    # every seed won, but the median is 4 above the parent's, inside its IQR 4.5
+    assert verdicts(201, 202, 203, 204, 208, 209, 210, 211, 212, 213) == ["not resolved", "not resolved"]
+    # a lower-is-better metric resolves in its own direction: setup_s is rate / 100
+    assert verdicts(150, 151, 152, 153, 154, 155, 156, 157, 158, 209)[1] == "gain resolved"
 
 
 def test_a_median_worse_than_the_first_sides_beyond_its_bound_is_warned_about():

@@ -333,3 +333,34 @@ def test_non_integral_labels_are_rejected_not_truncated():
     assert Dataset(X, np.array([2.0, -1.0])).y.tolist() == [2, -1]
     assert Dataset(np.zeros((0, 4)), np.zeros(0)).y.dtype.kind == "i"
     assert [parse_libsvm_line(f"{text} 1:1.0")[1] for text in ("+1", "-1", "2.0")] == [1, -1, 2]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_features_naming_the_first_bad_row(value):
+    X = np.zeros((4, 3))
+    X[2, 0] = X[3, 1] = value
+    with pytest.raises(ValueError, match="features must be finite, row 2 is not"):
+        Dataset(X, [0, 1, 0, 1])
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, float("inf"), "0", [0]])
+def test_seeds_of_data_entries_are_rejected_by_name(seed):
+    message = re.escape(f"seed must be a nonnegative whole number, got {seed!r}")
+    with pytest.raises(ValueError, match=message):
+        generate_synthetic("blobs", 10, 0, 0, d=3, num_classes=3, noise=0.5, seed=seed)
+    data = generate_synthetic("blobs", 10, 0, 0, d=3, num_classes=3, noise=0.5, seed=0).train
+    with pytest.raises(ValueError, match=message):
+        split_dataset(data, 0.2, 0.2, seed)
+
+
+def test_whole_number_seeds_of_data_entries_give_the_same_arrays():
+    def draw(seed):
+        return generate_synthetic("blobs", 10, 2, 2, d=3, num_classes=3, noise=0.5, seed=seed).train
+
+    def split(seed):
+        return split_dataset(draw(0), 0.2, 0.2, seed).train
+
+    for seed in (4.0, np.int64(4), np.float64(4.0)):
+        for got, want in ((draw(seed), draw(4)), (split(seed), split(4))):
+            assert got.X.tobytes() == want.X.tobytes()
+            assert got.y.tobytes() == want.y.tobytes()

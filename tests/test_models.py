@@ -208,3 +208,11 @@ def test_interleaved_batch_score_tapes_backpropagate_independently():
     for i in (1, 0, 1, 0):
         got = head.tape.backward() if i == 0 else refs[1].tape.backward(calls[1][2], refs[1])
         assert got.tobytes() == alone[i].tobytes()
+
+
+def test_init_params_seed_must_be_a_nonnegative_whole_number():
+    spec = ModelSpec("mlp", input_dim=3, num_classes=2, hidden_dims=(4,))
+    for seed in (1.5, -1, "2"):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be a nonnegative whole number, got {seed!r}")):
+            spec.init_params(seed)
+    assert spec.init_params(2.0).tobytes() == spec.init_params(np.int64(2)).tobytes() == spec.init_params(2).tobytes()

@@ -326,3 +326,12 @@ def test_linear_solve_recovers_svm_on_separable_data():
     assert primal >= diag.dual_objectives[-1] - 1e-12  # weak duality
     assert abs(primal - diag.dual_objectives[-1]) < 1e-8
     assert (F.argmax(axis=1) == data.train.y).all()
+
+
+@pytest.mark.parametrize("gap_tol", [float("nan"), -1e-9, float("inf")])
+def test_solver_gap_tolerance_must_be_finite_and_nonnegative(gap_tol):
+    # a nan tolerance used to run every pass and report no error
+    model = ModelSpec("linear", input_dim=2, num_classes=3)
+    w0, batch = np.ones(model.param_count), Sample(np.array([1.0, 2.0]), 0)
+    with pytest.raises(ValueError, match=re.escape(f"gap_tol must be finite and nonnegative, got {gap_tol!r}")):
+        proximal_fw_solve(w0, batch, model, eta=0.5, max_iters=3, gap_tol=gap_tol)

@@ -33,10 +33,13 @@ Then one line per end-to-end metric of ``BENCHMARK.json`` gives, per
 later side, the seeds on which it beats the first side in the metric's
 ``better`` direction, the change of its median from the first side's,
 and the first side's IQR as a share of its median, so a claimed gain can
-be set against the first side's spread. The tool warns on stderr when a
-seed's ``final_objective`` differs between sides, and when a later side's
-median of an end-to-end metric is worse than the first side's by more
-than the metric's ``bound`` (a share of the first side's median).
+be set against the first side's spread. Each side's entry ends with
+``gain resolved`` when it wins on at least 9 in 10 seeds and its median
+beats the first side's by more than the first side's IQR, and with ``not
+resolved`` otherwise. The tool warns on stderr when a seed's
+``final_objective`` differs between sides, and when a later side's median
+of an end-to-end metric is worse than the first side's by more than the
+metric's ``bound`` (a share of the first side's median).
 """
 
 from __future__ import annotations
@@ -212,12 +215,15 @@ def pair_report(workload, block, metrics) -> tuple:
     first side in the metric's ``better`` direction (a tie counts for
     neither), the change of its median from the first side's median, and
     the first side's IQR as a share of that median; ``n/a`` when the runs
-    do not all report the metric. One warning names the seeds whose
-    ``final_objective`` differs between the first side and another, which
-    means the sides did not compute the same numbers. Another names every
-    later side whose median is worse than the first side's by more than
-    the metric's ``bound`` (a share of the first side's median); a metric
-    without a bound is not checked.
+    do not all report the metric. Each side's entry ends with the verdict
+    of the claim rule: ``gain resolved`` when the side wins on at least 9
+    in 10 seeds and its median beats the first side's median by more than
+    the first side's IQR, else ``not resolved``. One warning names the
+    seeds whose ``final_objective`` differs between the first side and
+    another, which means the sides did not compute the same numbers.
+    Another names every later side whose median is worse than the first
+    side's by more than the metric's ``bound`` (a share of the first
+    side's median); a metric without a bound is not checked.
     """
     (first, base), *later = block["sides"].items()
     lines, worse = [], []
@@ -228,15 +234,17 @@ def pair_report(workload, block, metrics) -> tuple:
         for side_name, side in later:
             values = _per_seed(side, name)
             if None in values + base_values:
-                shown.append(f"{side_name} n/a")
+                shown.append(f"{side_name} n/a: not resolved")
                 continue
             wins = sum(a > b if better == "higher" else a < b for a, b in zip(values, base_values))
             q1, ref, q3 = quartiles(base_values)
             median = quartiles(values)[1]
             change = f"{(median - ref) / abs(ref):+.1%}" if ref else "from 0"
             spread = f"{(q3 - q1) / abs(ref):.1%}" if ref else "n/a"
-            shown.append(f"{side_name} {wins}/{len(values)} (median {change}, {first} IQR {spread})")
             loss = median - ref if better == "lower" else ref - median
+            resolved = 10 * wins >= 9 * len(values) and -loss > q3 - q1
+            verdict = "gain resolved" if resolved else "not resolved"
+            shown.append(f"{side_name} {wins}/{len(values)} (median {change}, {first} IQR {spread}): {verdict}")
             if bound is not None and loss > bound * abs(ref):
                 worse.append(f"{side_name} {name} {ref:.4g} -> {median:.4g} ({change}, bound {bound:.0%})")
         lines.append(f"{workload} {name} seeds won against {first}: {', '.join(shown)}")
