@@ -15,6 +15,11 @@ def nonnegative(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
+def one_of(name: str, value, choices) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
 def checked_seed(name: str, value) -> int:
     """``value`` as a seed for numpy's generators: a nonnegative int of any
     size, a whole float read as its int; anything else is an error naming

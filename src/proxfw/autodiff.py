@@ -390,6 +390,8 @@ class Tape:
                 f"tape expects a parameter vector of length {self.num_params}, "
                 f"got shape {w.shape}"
             )
+        if not self.nodes:
+            raise ValueError("tape is empty")
         vals = []
         in_place = self._in_place
         for i, (op, rule, ia, ib, payload, _) in enumerate(self.nodes):
@@ -412,7 +414,7 @@ class Tape:
         self._values = vals
         self._aux = {}
         self._w = w.copy()
-        return vals[-1] if vals else np.float64(0.0)
+        return vals[-1]
 
     def backward(self, seed=None, at: Ref | None = None):
         """Reverse sweep; returns the gradient w.r.t. the parameter vector.
@@ -486,9 +488,6 @@ class Tape:
         dw = np.asarray(dw, dtype=float)
         if w.shape != (self.num_params,) or dw.shape != (self.num_params,):
             raise ValueError("jvp expects w and dw of length num_params")
-        if not self.nodes:
-            z = np.float64(0.0)
-            return z, z
         vals = self._values_at(w)
         tans: list = []
         for i, (_, rule, ia, ib, payload, live) in enumerate(self.nodes):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import losses, models, optimizers
-from ._checks import checked_seed, positive, whole_numbers
+from ._checks import checked_seed, one_of, positive, whole_numbers
 from .data import SplitDataset
 
 __all__ = [
@@ -75,7 +75,9 @@ class RunConfig:
             return losses.default_direction_mode(num_classes)
         return self.direction_mode
 
-    def resolved_schedule(self) -> tuple:
+    def resolved_schedule(self):
+        """``lr_schedule`` as ``(epoch, multiplier)`` pairs, a keyword or a
+        string resolved; the pairs are checked where a run is set up."""
         schedule = self.lr_schedule
         if isinstance(schedule, str):
             schedule = parse_schedule(schedule)
@@ -85,7 +87,7 @@ class RunConfig:
             return ()
         if schedule in ("none", None):
             return ()
-        return optimizers.checked_schedule(schedule)
+        return schedule
 
 
 def parse_schedule(text: str):
@@ -145,37 +147,9 @@ METRICS_HEADER = _header(EpochMetrics)
 SWEEP_HEADER = _header(SweepRow)
 
 
-def _validate(config: RunConfig):
-    if config.optimizer not in OPTIMIZERS:
-        raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {config.optimizer!r}")
-    if config.optimizer == "dfw" and config.loss != "svm":
-        raise ValueError("the dfw optimizer trains the svm loss only")
-    positive("eta", config.eta)
-    if config.batch_size < 1 or config.epochs < 1:
-        raise ValueError("need batch_size >= 1 and epochs >= 1")
-    for name in ("train", "val"):
-        if len(getattr(config.dataset, name)) == 0:
-            raise ValueError(f"the {name} split is empty")
-    if config.direction_mode not in DIRECTION_MODES:
-        raise ValueError(f"bad direction mode {config.direction_mode!r}")
-    # dfw has no schedule, but a bad one is still a bad setting
-    config.resolved_schedule()
-
-
-def _build_model(config: RunConfig) -> models.ModelSpec:
-    hidden = config.hidden_dims if config.model == "mlp" else ()
-    return models.ModelSpec(
-        kind=config.model,
-        input_dim=config.dataset.dim,
-        num_classes=config.dataset.num_classes,
-        hidden_dims=hidden,
-    )
-
-
 def evaluate(model, w, data, loss: str = "svm"):
     """Mean loss and accuracy of ``w`` on a :class:`~proxfw.data.Dataset`."""
-    if loss not in optimizers.LOSSES:
-        raise ValueError(f"loss must be one of {optimizers.LOSSES}, got {loss!r}")
+    one_of("loss", loss, optimizers.LOSSES)
     X = data.X
     if len(X) == 0:
         raise ValueError("cannot evaluate on an empty split")
@@ -192,14 +166,32 @@ def evaluate(model, w, data, loss: str = "svm"):
 
 
 def _setup(config: RunConfig):
-    """Check every setting of ``config``; its model, the initial optimizer
-    state and the step function that advances it."""
-    _validate(config)
-    model = _build_model(config)
-    mode = config.resolved_mode(config.dataset.num_classes)
+    """Check every setting of ``config`` once; its model, the initial
+    optimizer state and the step function that advances it."""
+    one_of("optimizer", config.optimizer, OPTIMIZERS)
+    if config.optimizer == "dfw" and config.loss != "svm":
+        raise ValueError("the dfw optimizer trains the svm loss only")
+    positive("eta", config.eta)
+    if config.batch_size < 1 or config.epochs < 1:
+        raise ValueError("need batch_size >= 1 and epochs >= 1")
+    data = config.dataset
+    for name in ("train", "val"):
+        if len(getattr(data, name)) == 0:
+            raise ValueError(f"the {name} split is empty")
+    one_of("direction mode", config.direction_mode, DIRECTION_MODES)
     schedule = config.resolved_schedule()
+    model = models.ModelSpec(
+        kind=config.model,
+        input_dim=data.dim,
+        num_classes=data.num_classes,
+        hidden_dims=config.hidden_dims if config.model == "mlp" else (),
+    )
     w0 = model.init_params(config.seed)
     if config.optimizer == "dfw":
+        # dfw has no schedule, but a bad one is still a bad setting; a
+        # baseline's state checks its own
+        optimizers.checked_schedule(schedule)
+        mode = config.resolved_mode(data.num_classes)
         state = optimizers.DFWState(
             w=w0, eta=config.eta, momentum=config.momentum, l2=config.l2, mode=mode
         )
@@ -223,7 +215,8 @@ def run_training(config: RunConfig) -> TrainResult:
 
     The epoch shuffle uses its own seeded generator, independent of the
     weight-initialization stream, so optimizers that share a seed see the
-    same batch order.
+    same batch order. The run owns its states, so it sets each epoch on
+    the state it holds; no state is checked again after ``_setup``.
     """
     model, state, step = _setup(config)
     data = config.dataset
@@ -234,7 +227,7 @@ def run_training(config: RunConfig) -> TrainResult:
     n = len(data.train)
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
-        state = replace(state, epoch=epoch)
+        state.epoch = epoch
         order = shuffle_rng.permutation(n)
         diags = []
         for start in range(0, n, config.batch_size):

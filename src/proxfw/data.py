@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import checked_seed, nonnegative, whole_numbers
+from ._checks import checked_seed, nonnegative, one_of, whole_numbers
 
 __all__ = [
     "Dataset",
@@ -46,6 +46,14 @@ class DatasetFormatError(ValueError):
     """Raised on malformed dataset files; the message names the line."""
 
 
+class _NonFiniteRow(ValueError):
+    """A :class:`Dataset`'s first feature row holding NaN or an infinity."""
+
+    def __init__(self, row: int):
+        super().__init__(f"features must be finite, row {row} is not")
+        self.row = row
+
+
 @dataclass
 class Dataset:
     """A labeled set: features (n, d) float64, every one finite, labels (n,) int64."""
@@ -60,7 +68,7 @@ class Dataset:
             raise ValueError("features and labels disagree in shape")
         bad = np.flatnonzero(~np.isfinite(self.X).all(axis=1))
         if bad.size:
-            raise ValueError(f"features must be finite, row {bad[0]} is not")
+            raise _NonFiniteRow(int(bad[0]))
 
     def __len__(self):
         return self.X.shape[0]
@@ -128,8 +136,9 @@ def generate_synthetic(
     The same arguments always produce bit-identical arrays. Splits are
     consecutive slices of one draw, so they are disjoint by construction.
     """
-    if kind not in SYNTHETIC:
-        raise ValueError(f"synthetic kind must be one of {SYNTHETIC}, got {kind!r}")
+    one_of("synthetic kind", kind, SYNTHETIC)
+    sizes = dict(n_train=n_train, n_val=n_val, n_test=n_test, d=d, num_classes=num_classes)
+    n_train, n_val, n_test, d, num_classes = (int(whole_numbers(k, v)) for k, v in sizes.items())
     if min(n_train, n_val, n_test) < 0 or n_train == 0:
         raise ValueError("need n_train > 0 and nonnegative split sizes")
     if num_classes < 2:
@@ -222,8 +231,7 @@ def load_dataset(path, fmt: str = "csv") -> Dataset:
     the whole file's size is made. A line holding bytes that are not UTF-8
     is reported with its number, like any other malformed line.
     """
-    if fmt not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
+    one_of("format", fmt, FORMATS)
     values = array("d")  # every feature value, in file order
     cols, ends = array("i"), array("q", [0])  # LIBSVM: each value's column, each row's end
     raw_labels = []
@@ -281,16 +289,16 @@ def load_dataset(path, fmt: str = "csv") -> Dataset:
             X[rows, cols[lo:hi]] = values[lo:hi]
     else:
         X = np.frombuffer(values, dtype=float).reshape(n, width)
-    # one vectorized pass over the assembled matrix keeps large files fast
-    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
-    if bad.size:
-        raise DatasetFormatError(f"{path}: line {linenos[bad[0]]}: non-finite feature value")
     remap: dict[int, int] = {}
     for lab in raw_labels:
         if lab not in remap:
             remap[lab] = len(remap)
     y = np.array([remap[lab] for lab in raw_labels])
-    return Dataset(X, y)
+    try:  # the Dataset's one finite scan names the row; the line is the file's
+        return Dataset(X, y)
+    except _NonFiniteRow as exc:
+        line = linenos[exc.row]
+        raise DatasetFormatError(f"{path}: line {line}: non-finite feature value") from None
 
 
 def split_dataset(data: Dataset, val_fraction: float, test_fraction: float, seed: int) -> SplitDataset:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._checks import one_of
+
 __all__ = [
     "MODES",
     "task_loss",
@@ -29,15 +31,9 @@ __all__ = [
     "softmax_batch",
     "conditional_vertex_batch",
     "dual_direction_batch",
-    "one_hot",
 ]
 
 MODES = ("smoothed", "conditional")
-
-
-def _check_mode(mode: str):
-    if mode not in MODES:
-        raise ValueError(f"direction mode must be one of {MODES}, got {mode!r}")
 
 
 def task_loss(ybar: int, y: int) -> float:
@@ -111,15 +107,6 @@ def _check_labels(y: np.ndarray, k: int) -> None:
         raise ValueError(f"label {bad[0]} outside [0, {k})")
 
 
-def one_hot(y, k: int) -> np.ndarray:
-    """Rows of the k x k identity picked by ``y``; every label must lie in [0, k)."""
-    y = np.asarray(y, dtype=int)
-    _check_labels(y, k)
-    out = np.zeros((y.shape[0], k))
-    out[np.arange(y.shape[0]), y] = 1.0
-    return out
-
-
 def augmented_scores_batch(F, y) -> np.ndarray:
     F = np.asarray(F, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -163,7 +150,7 @@ def dual_direction_batch(augF, F, mode: str):
     conditional-gradient vertex; it is 0 in conditional mode. Only the
     rows that fall back pick their vertex, written over their softmax row.
     """
-    _check_mode(mode)
+    one_of("direction mode", mode, MODES)
     if mode == "conditional":
         return conditional_vertex_batch(augF), 0
     augF = np.asarray(augF, dtype=float)

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._checks import checked_seed, whole_numbers
+from ._checks import checked_seed, one_of, whole_numbers
 from .autodiff import Tape
 
 __all__ = [
@@ -63,8 +63,7 @@ class ModelSpec:
     bias: bool = True
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"model kind must be one of {KINDS}, got {self.kind!r}")
+        one_of("model kind", self.kind, KINDS)
         if isinstance(self.hidden_dims, str):
             raise ValueError(f"hidden_dims must be a sequence of widths, got {self.hidden_dims!r}")
         for name in ("input_dim", "num_classes"):

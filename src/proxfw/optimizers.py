@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import nonnegative, positive, whole_numbers
-from .losses import _check_mode, augmented_scores_batch, conditional_vertex_batch
+from ._checks import nonnegative, one_of, positive, whole_numbers
+from .losses import MODES, augmented_scores_batch, conditional_vertex_batch
 from .losses import cross_entropy_batch, softmax_batch
 from .proximal import _anchor, _backward_seed, _direction_terms, single_step_size
 
@@ -91,7 +91,7 @@ class DFWState:
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=float)
         _check_hyperparameters("eta", self.eta, self.momentum, self.l2)
-        _check_mode(self.mode)
+        one_of("direction mode", self.mode, MODES)
         self.velocity = _buffer("velocity", self.velocity, self.w)
 
 
@@ -178,10 +178,8 @@ class BaselineState:
     moments: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in BASELINE_KINDS:
-            raise ValueError(f"kind must be one of {BASELINE_KINDS}, got {self.kind!r}")
-        if self.loss not in LOSSES:
-            raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
+        one_of("kind", self.kind, BASELINE_KINDS)
+        one_of("loss", self.loss, LOSSES)
         self.w = np.asarray(self.w, dtype=float)
         _check_hyperparameters("lr", self.lr, self.momentum, self.l2)
         self.schedule = checked_schedule(self.schedule)
@@ -222,10 +220,9 @@ def default_lr_schedule(epochs: int) -> tuple:
 def _objective_gradient(w, batch, model, l2: float, loss: str):
     """Gradient of regularizer + mean loss; one backward pass.
 
-    Returns ``(gradient, mean_loss, batch_size)``.
+    Returns ``(gradient, mean_loss, batch_size)``; ``loss`` is a checked
+    state's.
     """
-    if loss not in LOSSES:
-        raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
     F, ref, y, r, n = _anchor(w, batch, model, l2)
     if loss == "svm":
         aug = augmented_scores_batch(F, y)

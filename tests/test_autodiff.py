@@ -587,3 +587,50 @@ def test_wide_backward_masks_each_relu_adjoint_in_place():
     finally:
         tracemalloc.stop()
     assert peak <= 4.0e6
+
+
+def _doubled_pair(run_forward):
+    # a tape whose output is the vector 2 * w, run at w = 0 when asked
+    tape = Tape(2)
+    _ = tape.param(0, (2,)) * 2.0
+    if run_forward:
+        tape.forward(np.zeros(2))
+    return tape
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda t: t.forward(np.zeros(2)), "tape is empty"),
+        (lambda t: forward_eval(t, np.zeros(2)), "tape is empty"),
+        (lambda t: t.jvp(np.zeros(2), np.ones(2)), "tape is empty"),
+        (lambda t: backward_grad(t, np.zeros(2)), "tape is empty"),
+        (lambda t: t.output, "tape is empty"),
+        (lambda t: t.backward(), "run forward before backward"),
+    ],
+    ids=["forward", "forward_eval", "jvp", "backward_grad", "output", "backward"],
+)
+def test_an_empty_tape_is_rejected_by_every_entry(call, message):
+    # forward and jvp used to return 0.0, and the backwards an IndexError
+    with pytest.raises(ValueError, match=message):
+        call(Tape(2))
+
+
+@pytest.mark.parametrize(
+    "run_forward, call, message",
+    [
+        (False, lambda t: t.backward(seed=np.ones(2)), "run forward before backward"),
+        (
+            True,
+            lambda t: t.backward(seed=np.ones(3)),
+            "seed shape (3,) does not match output shape (2,)",
+        ),
+        (True, lambda t: t.backward(), "default backward seed requires a scalar output"),
+        (False, lambda t: t.jvp(np.zeros(2), np.ones(3)), "jvp expects w and dw of length"),
+        (False, lambda t: t.jvp(np.zeros(3), np.ones(2)), "jvp expects w and dw of length"),
+    ],
+    ids=["backward-before-forward", "seed-shape", "default-seed-on-a-vector", "jvp-dw", "jvp-w"],
+)
+def test_sweeps_reject_calls_that_do_not_fit_the_tape(run_forward, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(_doubled_pair(run_forward))

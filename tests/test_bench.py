@@ -389,3 +389,43 @@ def test_a_dataset_holding_nan_stops_before_training():
     X[2, 1] = np.nan
     with pytest.raises(ValueError, match="features must be finite, row 2 is not"):
         run_training(RunConfig(dataset=replace(data, train=Dataset(X, data.train.y))))
+
+
+@pytest.mark.parametrize("optimizer, state_type", [("dfw", "DFWState"), ("adam", "BaselineState")])
+def test_a_run_checks_its_state_once(monkeypatch, optimizer, state_type):
+    # the harness sets each epoch on the state it owns; it used to rebuild
+    # the state through its checks once per epoch
+    cls = getattr(optimizers, state_type)
+    checks = []
+    post_init = cls.__post_init__
+    monkeypatch.setattr(cls, "__post_init__", lambda self: (checks.append(1), post_init(self)))
+    result = run_training(RunConfig(dataset=small_blobs(), optimizer=optimizer, epochs=5,
+                                    hidden_dims=(8,), eta=0.01))
+    assert len(result.metrics) == 5
+    assert len(checks) == 1
+
+
+def test_a_step_that_leaves_w_non_finite_stops_the_epoch(monkeypatch):
+    # the check after each step ends the run at once, in the middle of the
+    # first epoch, with no epoch recorded
+    steps = []
+    dfw_step = optimizers.dfw_step
+
+    def step_then_nan(state, batch, model):
+        steps.append(1)
+        new_state, diag = dfw_step(state, batch, model)
+        if len(steps) == 2:
+            new_state.w[0] = np.nan
+        return new_state, diag
+
+    monkeypatch.setattr(optimizers, "dfw_step", step_then_nan)
+    result = run_training(RunConfig(dataset=small_blobs(), epochs=3, batch_size=16))
+    assert result.diverged and result.metrics == []
+    assert len(steps) == 2  # of the 5 batches an epoch holds
+    assert np.isnan(result.final_w[0])
+
+
+def test_an_unknown_direction_mode_names_the_choices():
+    message = "direction mode must be one of ('auto', 'smoothed', 'conditional'), got 'stochastic'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_training(RunConfig(dataset=small_blobs(), direction_mode="stochastic"))

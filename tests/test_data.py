@@ -364,3 +364,59 @@ def test_whole_number_seeds_of_data_entries_give_the_same_arrays():
         for got, want in ((draw(seed), draw(4)), (split(seed), split(4))):
             assert got.X.tobytes() == want.X.tobytes()
             assert got.y.tobytes() == want.y.tobytes()
+
+
+SYNTHETIC_SIZES = dict(n_train=10, n_val=2, n_test=2, d=3, num_classes=3)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("n_train", 2.5), ("n_val", 1.5), ("n_test", np.nan), ("d", 3.5), ("num_classes", 2.5)],
+)
+def test_synthetic_sizes_that_are_not_whole_numbers_are_rejected_by_name(name, value):
+    sizes = dict(SYNTHETIC_SIZES, **{name: value})
+    message = re.escape(f"{name} must be a whole number, got {value!r}")
+    with pytest.raises(ValueError, match=message):
+        generate_synthetic("blobs", **sizes, noise=0.5, seed=0)
+
+
+@pytest.mark.parametrize("kind", ["blobs", "spirals"])
+def test_whole_number_synthetic_sizes_of_any_type_give_the_same_arrays(kind):
+    want = generate_synthetic(kind, **SYNTHETIC_SIZES, noise=0.5, seed=1)
+    for cast in (float, np.int64, np.float64):
+        sizes = {name: cast(value) for name, value in SYNTHETIC_SIZES.items()}
+        got = generate_synthetic(kind, **sizes, noise=0.5, seed=1)
+        for part in ("train", "val", "test"):
+            assert getattr(got, part).X.tobytes() == getattr(want, part).X.tobytes()
+            assert getattr(got, part).y.tobytes() == getattr(want, part).y.tobytes()
+
+
+@pytest.mark.parametrize("fmt, line", [("csv", "1.0,2.0,0"), ("libsvm", "0 1:1.0 2:2.0")])
+def test_a_loaded_file_is_scanned_for_non_finite_features_once(tmp_path, monkeypatch, fmt, line):
+    # the loader leaves the scan to its Dataset, which names the row
+    p = tmp_path / "d.txt"
+    p.write_text(f"{line}\n" * 5)
+    scanned = []
+    isfinite = np.isfinite
+
+    def counting_isfinite(x, *args, **kwargs):
+        if np.shape(x) == (5, 2):
+            scanned.append(1)
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting_isfinite)
+    assert load_dataset(p, fmt).X.shape == (5, 2)
+    assert len(scanned) == 1
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_csv_row, "1.0", "need at least one feature column and a label column"),
+        (parse_libsvm_line, "1 1:abc", "bad feature token '1:abc'"),
+        (parse_libsvm_line, "1 x:2.0", "bad feature token 'x:2.0'"),
+    ],
+)
+def test_malformed_rows_are_rejected_with_a_reason(parse, text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse(text)

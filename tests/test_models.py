@@ -216,3 +216,26 @@ def test_init_params_seed_must_be_a_nonnegative_whole_number():
         with pytest.raises(ValueError, match=re.escape(f"seed must be a nonnegative whole number, got {seed!r}")):
             spec.init_params(seed)
     assert spec.init_params(2.0).tobytes() == spec.init_params(np.int64(2)).tobytes() == spec.init_params(2).tobytes()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m, w: m.scores(w, np.zeros(4)), "input of shape (3,), got (4,)"),
+        (lambda m, w: m.scores(w, np.zeros((1, 3))), "input of shape (3,), got (1, 3)"),
+        (lambda m, w: m.batch_scores(w, np.zeros(3)), "inputs of shape (n, 3), got (3,)"),
+        (lambda m, w: m.batch_scores(w, np.zeros((2, 4))), "inputs of shape (n, 3), got (2, 4)"),
+        (lambda m, w: batch_arrays([]), "empty batch"),
+        (lambda m, w: batch_arrays((np.zeros((3, 3)), [0, 1])), "feature and label counts differ"),
+    ],
+)
+def test_inputs_of_the_wrong_shape_are_rejected(call, message):
+    model = ModelSpec("mlp", input_dim=3, num_classes=2, hidden_dims=(4,))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(model, model.init_params(0))
+
+
+def test_a_one_dimensional_pair_is_a_batch_of_one():
+    X, y = batch_arrays((np.array([1.0, 2.0, 3.0]), 2))
+    assert X.shape == (1, 3) and X.tolist() == [[1.0, 2.0, 3.0]]
+    assert y.shape == (1,) and y.tolist() == [2]

@@ -335,3 +335,8 @@ def test_solver_gap_tolerance_must_be_finite_and_nonnegative(gap_tol):
     w0, batch = np.ones(model.param_count), Sample(np.array([1.0, 2.0]), 0)
     with pytest.raises(ValueError, match=re.escape(f"gap_tol must be finite and nonnegative, got {gap_tol!r}")):
         proximal_fw_solve(w0, batch, model, eta=0.5, max_iters=3, gap_tol=gap_tol)
+
+
+def test_a_state_whose_point_and_anchor_differ_in_shape_is_rejected():
+    with pytest.raises(ValueError, match="w0 and w must have the same shape"):
+        mk_state([0.0, 0.0], [0.0, 0.0, 0.0], lam=0.0, eta=1.0)
