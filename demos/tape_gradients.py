@@ -7,7 +7,7 @@ directional derivatives from the same tape.
 
 import numpy as np
 
-from proxfw.autodiff import Tape, backward_grad, fd_gradient_oracle, forward_eval
+from proxfw.autodiff import Tape, backward_grad, fd_gradient_oracle
 
 rng = np.random.default_rng(0)
 d, h, k = 3, 4, 2
@@ -27,9 +27,9 @@ head = m + (scores - m).exp().total().log() - scores.select(0)
 
 w = 0.5 * rng.normal(size=p)
 
-value = forward_eval(tape, w)
+value = tape.forward(w)
 grad = backward_grad(tape, w)
-fd = fd_gradient_oracle(lambda wv: forward_eval(tape, wv), w)
+fd = fd_gradient_oracle(tape.forward, w)
 
 print(f"objective value      {value:.6f}")
 print(f"|grad|               {np.linalg.norm(grad):.6f}")

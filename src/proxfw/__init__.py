@@ -10,7 +10,7 @@ benchmark harness with a deterministic metrics format.
 
 __version__ = "0.1.0"
 
-from .autodiff import Tape, backward_grad, fd_gradient_oracle, forward_eval
+from .autodiff import Tape, backward_grad, fd_gradient_oracle
 from .bench import (
     EpochMetrics,
     RunConfig,
@@ -38,7 +38,6 @@ from .losses import (
     dual_direction,
     hinge_loss,
     softmax_direction,
-    task_loss,
 )
 from .models import ModelSpec, Sample, init_params
 from .optimizers import (
@@ -62,13 +61,11 @@ from .proximal import (
 
 __all__ = [
     "Tape",
-    "forward_eval",
     "backward_grad",
     "fd_gradient_oracle",
     "ModelSpec",
     "Sample",
     "init_params",
-    "task_loss",
     "hinge_loss",
     "cross_entropy",
     "augmented_scores",

@@ -32,13 +32,15 @@ def checked_seed(name: str, value) -> int:
 
 
 def whole_numbers(name: str, values) -> np.ndarray:
-    """``values`` as an int array. A value that is not a whole number is an
-    error naming ``name``, not truncated; integer arrays pass unchecked."""
+    """``values`` as an int array. A value that is not a whole number (a string
+    included) is an error naming ``name``; integer arrays pass unchecked."""
     y = np.asarray(values)
     if y.dtype.kind not in "biu":
+        what = "a whole number" if y.ndim == 0 else "whole numbers"
+        if y.dtype.kind in "US":
+            raise ValueError(f"{name} must be {what}, got {values!r}")
         y = y.astype(float)
         bad = y[~(np.isfinite(y) & (y == np.trunc(y)))]
         if bad.size:
-            what = "a whole number" if y.ndim == 0 else "whole numbers"
             raise ValueError(f"{name} must be {what}, got {float(bad[0])!r}")
     return y.astype(int, copy=False)

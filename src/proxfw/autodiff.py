@@ -15,17 +15,16 @@ Each primitive is one ``_RULES`` entry, bound to its node when the node
 is recorded; the sweeps loop over the bound rules and handle only the
 leaves (parameter views, constants, the input slot) apart. A new
 primitive is one new entry, and its tangent is derived, not written:
-linear ops (add, sub, neg, rowsum, total, reshape) apply their forward
-to the tangents, mul and matmul add their two one-tangent forwards,
-relu, exp and log apply their adjoint rule to the tangent, and max and
-select take the tangent at the entries they gather. Those entries and
-relu's derivative mask (read from its output: ``out > 0`` exactly when
-``in > 0``, NaN and -0.0 included) are aux values, made once per
-forward cache. Max reduces the last axis and routes its adjoint to the
-lowest-index maximizer, relu has derivative 0 at 0, and on a 0-d operand
-max and rowsum are the identity. Max and matmul take operands of rank
-at most 2; ``forward`` rejects higher ranks, which their adjoints do not
-handle.
+linear ops (add, sub, total) apply their forward to the tangents, mul
+and matmul add their two one-tangent forwards, relu, exp and log apply
+their adjoint rule to the tangent, and max and select take the tangent
+at the entries they gather. Those entries and relu's derivative mask
+(read from its output: ``out > 0`` exactly when ``in > 0``, NaN and
+-0.0 included) are aux values, made once per forward cache. Max reduces
+the last axis and routes its adjoint to the lowest-index maximizer, and
+relu has derivative 0 at 0. Max takes operands of rank 1 or 2 and
+matmul of rank at most 2; ``forward`` rejects other ranks, which their
+adjoints do not handle.
 
 Sweeps skip the nodes that depend on no parameter: ``backward`` computes
 no adjoint into them (the input matrix of a first layer, say) and
@@ -47,7 +46,7 @@ from collections import namedtuple
 
 import numpy as np
 
-__all__ = ["Tape", "Ref", "forward_eval", "backward_grad", "fd_gradient_oracle"]
+__all__ = ["Tape", "Ref", "backward_grad", "fd_gradient_oracle"]
 
 
 def _unbroadcast(grad, shape):
@@ -145,28 +144,23 @@ def _matmul_b(g, a, b, v, x):
     return np.outer(a, g) if b.ndim == 2 else g * a
 
 
-def _rank_error(op, *operands):
-    # the matmul and max adjoints assume rank <= 2; a 3-d operand would
-    # broadcast into a wrong gradient or crash the reverse sweep
+def _rank_error(op, ranks, *operands):
+    # the matmul and max adjoints assume rank <= 2 (max also a last axis); a
+    # 3-d operand would broadcast into a wrong gradient or crash the sweep
     shapes = " and ".join(str(x.shape) for x in operands)
-    return ValueError(f"{op} takes operands of rank <= 2, got shapes {shapes}")
+    return ValueError(f"{op} takes operands of rank {ranks}, got shapes {shapes}")
 
 
 def _matmul(a, b, p, out):
     if a.ndim > 2 or b.ndim > 2:
-        raise _rank_error("matmul", a, b)
+        raise _rank_error("matmul", "<= 2", a, b)
     return a @ b
 
 
 def _max(a, b, p, out):
-    if a.ndim > 2:
-        raise _rank_error("max", a)
+    if a.ndim not in (1, 2):
+        raise _rank_error("max", "1 or 2", a)
     return np.max(a, axis=-1)
-
-
-def _spread(g, a, b, v, x):
-    # adjoint of rowsum: g repeated along a's last axis, if a has one
-    return g if a.ndim == 0 else np.broadcast_to(np.expand_dims(g, -1), a.shape)
 
 
 _RULES = {
@@ -192,7 +186,6 @@ _RULES = {
         ),
         _bilinear,
     ),
-    "neg": _Rule(lambda a, b, p, out: -a, (lambda g, a, b, v, x: -g,), _linear),
     "matmul": _Rule(_matmul, (_matmul_a, _matmul_b), _bilinear, overwritable=True),
     "relu": _Rule(
         lambda a, b, p, out: np.maximum(a, 0.0, out=out),
@@ -207,9 +200,8 @@ _RULES = {
         _max,
         (_scatter,),
         _gathered,
-        aux=lambda a, v, p: _gather(a, np.argmax(a, axis=-1)) if a.ndim else (),
+        aux=lambda a, v, p: _gather(a, np.argmax(a, axis=-1)),
     ),
-    "rowsum": _Rule(lambda a, b, p, out: np.sum(a, axis=-1), (_spread,), _linear),
     "total": _Rule(
         lambda a, b, p, out: np.sum(a),
         (lambda g, a, b, v, x: np.broadcast_to(g, a.shape),),
@@ -220,11 +212,6 @@ _RULES = {
         (_scatter,),
         _gathered,
         aux=lambda a, v, p: _gather(a, p),
-    ),
-    "reshape": _Rule(
-        lambda a, b, p, out: a.reshape(p),
-        (lambda g, a, b, v, x: np.asarray(g).reshape(a.shape),),
-        _linear,
     ),
 }
 
@@ -267,9 +254,6 @@ class Ref:
     def __matmul__(self, other):
         return self.tape._push("matmul", self, self._lift(other))
 
-    def __neg__(self):
-        return self.tape._push("neg", self)
-
     def relu(self):
         return self.tape._push("relu", self)
 
@@ -283,18 +267,12 @@ class Ref:
         """Reduce over the last axis; ties resolve to the lowest index."""
         return self.tape._push("max", self)
 
-    def rowsum(self):
-        return self.tape._push("rowsum", self)
-
     def total(self):
         return self.tape._push("total", self)
 
     def select(self, index):
         """Pick one entry (1-D input) or one column per row (2-D input)."""
         return self.tape._push("select", self, payload=np.asarray(index, dtype=int))
-
-    def reshape(self, shape):
-        return self.tape._push("reshape", self, payload=tuple(shape))
 
 
 class Tape:
@@ -521,11 +499,6 @@ class Tape:
             node = self.nodes[i]
             x = self._aux[i] = node.rule.aux(self._values[node.a], self._values[i], node.payload)
         return x
-
-
-def forward_eval(tape: Tape, w):
-    """Evaluate the function recorded on ``tape`` at ``w``."""
-    return tape.forward(w)
 
 
 def backward_grad(tape: Tape, w):

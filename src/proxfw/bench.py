@@ -148,11 +148,12 @@ SWEEP_HEADER = _header(SweepRow)
 
 
 def evaluate(model, w, data, loss: str = "svm"):
-    """Mean loss and accuracy of ``w`` on a :class:`~proxfw.data.Dataset`."""
+    """Mean loss and accuracy of ``w`` on a Dataset whose labels name model classes."""
     one_of("loss", loss, optimizers.LOSSES)
     X = data.X
     if len(X) == 0:
         raise ValueError("cannot evaluate on an empty split")
+    losses._check_labels(data.y, model.num_classes)
     F = np.concatenate(
         [
             model.batch_scores(w, X[start : start + EVAL_CHUNK_ROWS])[0]

@@ -56,7 +56,7 @@ class _NonFiniteRow(ValueError):
 
 @dataclass
 class Dataset:
-    """A labeled set: features (n, d) float64, every one finite, labels (n,) int64."""
+    """A labeled set: features (n, d) float64, every one finite, labels (n,) int64 >= 0."""
 
     X: np.ndarray
     y: np.ndarray
@@ -66,6 +66,10 @@ class Dataset:
         self.y = whole_numbers("class labels", self.y)
         if self.X.ndim != 2 or self.X.shape[0] != self.y.shape[0]:
             raise ValueError("features and labels disagree in shape")
+        negative = np.flatnonzero(self.y < 0)
+        if negative.size:
+            row = int(negative[0])
+            raise ValueError(f"class labels must be nonnegative, row {row} has {self.y[row]}")
         bad = np.flatnonzero(~np.isfinite(self.X).all(axis=1))
         if bad.size:
             raise _NonFiniteRow(int(bad[0]))

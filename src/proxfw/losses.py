@@ -1,7 +1,7 @@
 """Losses, margin-augmented scores, and dual search directions.
 
 The hinge loss used throughout is the multiclass margin-rescaled form
-with a 0/1 task error: hinge(s, y) = max_j (s_j - s_y + task_loss(j, y)),
+with a 0/1 task error: hinge(s, y) = max_j (s_j - s_y + [j != y]),
 whose maximand is exactly the augmented score vector, zero at the true
 label. Search directions live on the label simplex: either the hinge
 argmax vertex (conditional gradient) or the softmax point, with a switch
@@ -17,7 +17,6 @@ from ._checks import one_of
 
 __all__ = [
     "MODES",
-    "task_loss",
     "augmented_scores",
     "hinge_loss",
     "cross_entropy",
@@ -36,11 +35,6 @@ __all__ = [
 MODES = ("smoothed", "conditional")
 
 
-def task_loss(ybar: int, y: int) -> float:
-    """0/1 task error."""
-    return 0.0 if ybar == y else 1.0
-
-
 def _row(s) -> np.ndarray:
     # one sample as a batch of one, so the scalar forms reuse the batch formulas
     return np.asarray(s, dtype=float)[None, :]
@@ -55,7 +49,7 @@ def _labeled_row(s, y: int) -> np.ndarray:
 
 
 def augmented_scores(s, y: int) -> np.ndarray:
-    """Margin-augmented scores: s_j - s_y + task_loss(j, y); zero at ``y``."""
+    """Margin-augmented scores: s_j - s_y + [j != y]; zero at ``y``."""
     return augmented_scores_batch(_labeled_row(s, y), [y])[0]
 
 

@@ -60,7 +60,6 @@ class ModelSpec:
     input_dim: int
     num_classes: int
     hidden_dims: tuple = ()
-    bias: bool = True
 
     def __post_init__(self):
         one_of("model kind", self.kind, KINDS)
@@ -86,13 +85,13 @@ class ModelSpec:
     @cached_property
     def _slots(self) -> tuple:
         """Where each layer lives in ``w``: ``(layers, length)``, one
-        ``(weight_start, fan_in, fan_out, bias_start or None)`` per layer and
-        the vector's total length."""
+        ``(weight_start, fan_in, fan_out, bias_start)`` per layer and the
+        vector's total length."""
         layers, start = [], 0
         for fan_in, fan_out in self.layer_dims():
             end = start + fan_in * fan_out
-            layers.append((start, fan_in, fan_out, end if self.bias else None))
-            start = end + fan_out if self.bias else end
+            layers.append((start, fan_in, fan_out, end))
+            start = end + fan_out
         return tuple(layers), start
 
     @property
@@ -111,11 +110,10 @@ class ModelSpec:
         """Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) weights, zero biases."""
         rng = np.random.default_rng(checked_seed("seed", seed))
         parts = []
-        for _, fan_in, fan_out, bias_start in self._slots[0]:
+        for _, fan_in, fan_out, _ in self._slots[0]:
             bound = np.sqrt(1.0 / fan_in)
             parts.append(rng.uniform(-bound, bound, size=fan_in * fan_out))
-            if bias_start is not None:
-                parts.append(np.zeros(fan_out))
+            parts.append(np.zeros(fan_out))
         return np.concatenate(parts)
 
     @cached_property
@@ -158,9 +156,8 @@ def _program_and_mask(spec: ModelSpec) -> tuple:
     mask = np.ones(length, dtype=bool)
     for li, (weight_start, fan_in, fan_out, bias_start) in enumerate(layers):
         out = out @ tape.param(weight_start, (fan_in, fan_out))
-        if bias_start is not None:
-            out = out + tape.param(bias_start, (fan_out,))
-            mask[bias_start:][:fan_out] = False  # the fan_out slots from bias_start
+        out = out + tape.param(bias_start, (fan_out,))
+        mask[bias_start : bias_start + fan_out] = False
         if li < len(layers) - 1:
             out = out.relu()
     mask.flags.writeable = False
@@ -170,26 +167,22 @@ def _program_and_mask(spec: ModelSpec) -> tuple:
 def batch_arrays(batch):
     """Normalize a batch to ``(X, y)`` arrays.
 
-    Accepts a single :class:`Sample`, a sequence of Samples, or an
-    ``(X, y)`` pair. Rejects empty batches.
+    A batch is one :class:`Sample` or an ``(X, y)`` pair with a 2-D ``X``
+    of one row per label. Rejects anything else, and empty batches.
     """
     if isinstance(batch, Sample):
-        batch = [batch]
-    if isinstance(batch, tuple) and len(batch) == 2 and not isinstance(batch[0], Sample):
+        X = np.asarray(batch.features, dtype=float).reshape(1, -1)
+        y = whole_numbers("class labels", [batch.label])
+    elif isinstance(batch, tuple) and len(batch) == 2 and not isinstance(batch[0], Sample):
         X = np.asarray(batch[0], dtype=float)
+        if X.ndim != 2:
+            raise ValueError(f"a batch's X must be 2-D, got shape {X.shape}")
         y = whole_numbers("class labels", batch[1])
-        if X.ndim == 1:
-            X = X[None, :]
-            y = y.reshape(1)
     else:
-        items = list(batch)
-        if not items:
-            raise ValueError("empty batch")
-        X = np.stack([np.asarray(s.features, dtype=float).reshape(-1) for s in items])
-        y = whole_numbers("class labels", [s.label for s in items])
+        raise ValueError(f"a batch is one Sample or an (X, y) pair, got {type(batch).__name__}")
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    if X.shape[0] != y.shape[0]:
+    if y.shape != (X.shape[0],):
         raise ValueError("feature and label counts differ")
     return X, y
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import nonnegative, one_of, positive, whole_numbers
-from .losses import MODES, augmented_scores_batch, conditional_vertex_batch
-from .losses import cross_entropy_batch, softmax_batch
+from .losses import MODES, cross_entropy_batch, softmax_batch
 from .proximal import _anchor, _backward_seed, _direction_terms, single_step_size
 
 __all__ = [
@@ -223,15 +222,14 @@ def _objective_gradient(w, batch, model, l2: float, loss: str):
     Returns ``(gradient, mean_loss, batch_size)``; ``loss`` is a checked
     state's.
     """
-    F, ref, y, r, n = _anchor(w, batch, model, l2)
     if loss == "svm":
-        aug = augmented_scores_batch(F, y)
-        S, mean_loss = conditional_vertex_batch(aug), aug.max(axis=1).sum() / n
+        r, g, _, mean_loss, _, n = _direction_terms(w, batch, model, l2, "conditional")
     else:
-        S, mean_loss = softmax_batch(F), cross_entropy_batch(F, y).sum() / n
-    g = ref.tape.backward(seed=_backward_seed(S, y, n), at=ref)
+        F, ref, y, r, n = _anchor(w, batch, model, l2)
+        mean_loss = float(cross_entropy_batch(F, y).sum() / n)
+        g = ref.tape.backward(seed=_backward_seed(softmax_batch(F), y, n), at=ref)
     g += r
-    return g, float(mean_loss), n
+    return g, mean_loss, n
 
 
 def sgd_nesterov_step(state: BaselineState, batch, model):

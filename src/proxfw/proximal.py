@@ -194,15 +194,15 @@ def _direction_terms(w, batch, model, l2: float, mode: str):
     return r, delta, loss_term, mean_hinge, switched, n
 
 
-def conditional_gradient_primal(w, batch, model, l2: float = 0.0, mode: str = "conditional"):
+def conditional_gradient_primal(w, batch, model, l2: float = 0.0):
     """Primal mirror of one dual conditional-gradient direction.
 
     Returns ``(r, delta)``: the regularizer gradient at ``w`` (biases
-    excluded) and the gradient of the mean direction-weighted augmented
-    scores, obtained from a single backward pass.
+    excluded) and the gradient of the mean augmented scores at each
+    sample's argmax vertex, obtained from a single backward pass.
     """
     nonnegative("l2", l2)
-    r, delta, _, _, _, _ = _direction_terms(w, batch, model, l2, mode)
+    r, delta, _, _, _, _ = _direction_terms(w, batch, model, l2, "conditional")
     return r, delta
 
 

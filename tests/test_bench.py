@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import proxfw.bench as bench_module
+import proxfw.losses as losses_module
 import proxfw.models as models_module
 import proxfw.optimizers as optimizers
 from proxfw.autodiff import Tape
@@ -219,8 +220,11 @@ def test_run_config_validation():
 
 
 
-@pytest.mark.parametrize("field, value", [("epochs", 2.5), ("batch_size", 16.5)])
+@pytest.mark.parametrize(
+    "field, value", [("epochs", 2.5), ("batch_size", 16.5), ("epochs", "2"), ("batch_size", b"8")]
+)
 def test_counts_that_are_not_whole_numbers_are_rejected_by_name(field, value):
+    # a string count used to be read as the number it spells
     with pytest.raises(ValueError, match=re.escape(f"{field} must be a whole number, got {value!r}")):
         RunConfig(dataset=small_blobs(), **{field: value})
 
@@ -318,6 +322,36 @@ def test_chunked_evaluate_matches_one_forward_pass(loss):
     assert acc == (F.argmax(axis=1) == data.y).mean()
     with pytest.raises(ValueError, match="empty split"):
         evaluate(model, w, Dataset(np.zeros((0, 6)), np.zeros(0, dtype=int)), loss)
+
+
+def test_evaluate_rejects_labels_outside_the_models_classes_once_per_call(monkeypatch):
+    # a label of 5 on a 3-class model used to raise numpy's IndexError
+    data = generate_synthetic("blobs", 1300, 0, 0, d=6, num_classes=3, noise=1.0, seed=2).train
+    model = ModelSpec("mlp", 6, 3, (4,))
+    w = model.init_params(0)
+    y = data.y.copy()
+    y[700] = 5
+    with pytest.raises(ValueError, match=re.escape("label 5 outside [0, 3)")):
+        evaluate(model, w, Dataset(data.X, y))
+    calls, check = [], losses_module._check_labels
+
+    def counted(y, k):
+        calls.append(k)
+        return check(y, k)
+
+    monkeypatch.setattr(losses_module, "_check_labels", counted)
+    evaluate(model, w, data)
+    assert calls == [3]
+
+
+def test_a_val_split_with_a_negative_label_stops_before_training():
+    # it trained to completion with val_acc 0.64, against 0.98 on the
+    # unaltered split: evaluate scored a -1 as the last class
+    data = generate_synthetic("blobs", 200, 50, 50, d=5, num_classes=3, noise=1.0, seed=0)
+    y = data.val.y.copy()
+    y[y == 2] = -1
+    with pytest.raises(ValueError, match="class labels must be nonnegative, row .* has -1"):
+        run_training(RunConfig(dataset=replace(data, val=Dataset(data.val.X, y)), optimizer="sgd", epochs=2))
 
 
 def test_direction_mode_resolution():

@@ -330,7 +330,7 @@ def test_non_integral_labels_are_rejected_not_truncated():
             Dataset(X, labels)
     # whole-valued float labels and an empty float array are still accepted
     assert batch_arrays((X, [1.0, 2.0]))[1].tolist() == [1, 2]
-    assert Dataset(X, np.array([2.0, -1.0])).y.tolist() == [2, -1]
+    assert Dataset(X, np.array([2.0, 1.0])).y.tolist() == [2, 1]
     assert Dataset(np.zeros((0, 4)), np.zeros(0)).y.dtype.kind == "i"
     assert [parse_libsvm_line(f"{text} 1:1.0")[1] for text in ("+1", "-1", "2.0")] == [1, -1, 2]
 
@@ -341,6 +341,13 @@ def test_dataset_rejects_non_finite_features_naming_the_first_bad_row(value):
     X[2, 0] = X[3, 1] = value
     with pytest.raises(ValueError, match="features must be finite, row 2 is not"):
         Dataset(X, [0, 1, 0, 1])
+
+
+def test_dataset_rejects_a_negative_label_naming_the_first_bad_row():
+    # evaluate read a -1 as the last class, so a val split holding one
+    # trained to completion with a wrong val_acc
+    with pytest.raises(ValueError, match=re.escape("class labels must be nonnegative, row 2 has -1")):
+        Dataset(np.zeros((5, 3)), [0, 1, -1, 2, -3])
 
 
 @pytest.mark.parametrize("seed", [1.5, -1, float("inf"), "0", [0]])
@@ -371,9 +378,13 @@ SYNTHETIC_SIZES = dict(n_train=10, n_val=2, n_test=2, d=3, num_classes=3)
 
 @pytest.mark.parametrize(
     "name, value",
-    [("n_train", 2.5), ("n_val", 1.5), ("n_test", np.nan), ("d", 3.5), ("num_classes", 2.5)],
+    [
+        ("n_train", 2.5), ("n_val", 1.5), ("n_test", np.nan), ("d", 3.5), ("num_classes", 2.5),
+        ("n_train", "20"), ("d", b"3"),
+    ],
 )
 def test_synthetic_sizes_that_are_not_whole_numbers_are_rejected_by_name(name, value):
+    # a string size used to be read as the number it spells
     sizes = dict(SYNTHETIC_SIZES, **{name: value})
     message = re.escape(f"{name} must be a whole number, got {value!r}")
     with pytest.raises(ValueError, match=message):

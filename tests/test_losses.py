@@ -19,16 +19,10 @@ from proxfw.losses import (
     hinge_loss_batch,
     softmax_batch,
     softmax_direction,
-    task_loss,
 )
 from proxfw.models import ModelSpec
 
 from helpers import ce_objective_ref, head_value, weighted_aug_ref
-
-
-def test_task_loss_is_zero_one():
-    assert task_loss(2, 2) == 0.0
-    assert task_loss(0, 2) == 1.0
 
 
 def test_hinge_worked_example():

@@ -26,7 +26,7 @@ from helpers import ToyBinaryModel, ce_objective_ref, head_value, hinge_objectiv
 
 
 TOY = ToyBinaryModel()
-TOY_BATCH = [Sample(np.array([1.0]), 0)]
+TOY_BATCH = Sample(np.array([1.0]), 0)
 
 
 def toy_state(w, **kw):
@@ -69,6 +69,22 @@ def test_dfw_step_velocity_accumulation():
     assert np.allclose(state.velocity, [0.9])
     assert np.allclose(state.w, [1.9 + 0.9 * 0.9])
     assert state.step_count == 2
+
+
+def test_dfw_step_worked_example_inside_the_clip():
+    # w=0.5, x=1, y=0: scores (0.5, 0), augmented (0, 0.5), so the vertex
+    # is class 1 with loss term 0.5 and delta = -x = -1; r = l2*w = 0.1.
+    # gamma = (-eta*r*delta + 0.5) / (eta*delta^2) = 0.6; the velocity
+    # moves by eta*gamma*(r + delta) = -0.54 to 0.5*0.1 + 0.54 = 0.59, and
+    # w by eta*(r + gamma*delta) = -0.5 to 0.5 + 0.5 + 0.5*0.59 = 1.295.
+    # Swapping the two steps would give 0.55 and 1.315.
+    state = DFWState(
+        w=[0.5], eta=1.0, momentum=0.5, l2=0.2, mode="conditional", velocity=[0.1]
+    )
+    new, diag = dfw_step(state, Sample(np.array([1.0]), 0), TOY)
+    assert diag.step_size == pytest.approx(0.6, abs=1e-12)
+    assert new.velocity == pytest.approx([0.59], abs=1e-12)
+    assert new.w == pytest.approx([1.295], abs=1e-12)
 
 
 def test_dfw_step_is_sgd_when_gamma_hits_one():
@@ -123,26 +139,27 @@ def test_dfw_step_size_stays_in_unit_interval():
 
 
 def linear_pair_model():
-    return ModelSpec("linear", input_dim=2, num_classes=2, bias=False)
+    # w = (W[0,0], W[0,1], W[1,0], W[1,1], b[0], b[1])
+    return ModelSpec("linear", input_dim=2, num_classes=2)
 
 
 def test_sgd_step_worked_example():
-    # x=(1,0), y=1, w=0: hinge active at class 0, g=(1,-1,0,0)
+    # x=(1,0), y=1, w=0: hinge active at class 0, g=(1,-1,0,0,1,-1)
     model = linear_pair_model()
-    state = BaselineState(kind="sgd", w=np.zeros(4), lr=0.1, momentum=0.0, l2=0.0)
-    new, _ = sgd_nesterov_step(state, [Sample(np.array([1.0, 0.0]), 1)], model)
-    assert np.allclose(new.w, [-0.1, 0.1, 0.0, 0.0])
+    state = BaselineState(kind="sgd", w=np.zeros(6), lr=0.1, momentum=0.0, l2=0.0)
+    new, _ = sgd_nesterov_step(state, Sample(np.array([1.0, 0.0]), 1), model)
+    assert np.allclose(new.w, [-0.1, 0.1, 0.0, 0.0, -0.1, 0.1])
 
 
 def test_sgd_schedule_multiplies_reached_marks():
     model = linear_pair_model()
     state = BaselineState(
-        kind="sgd", w=np.zeros(4), lr=0.1, momentum=0.0, l2=0.0,
+        kind="sgd", w=np.zeros(6), lr=0.1, momentum=0.0, l2=0.0,
         schedule=((3, 0.2),), epoch=3,
     )
     assert effective_lr(state) == 0.1 * 0.2
-    new, _ = sgd_nesterov_step(state, [Sample(np.array([1.0, 0.0]), 1)], model)
-    assert np.allclose(new.w, [-0.02, 0.02, 0.0, 0.0])
+    new, _ = sgd_nesterov_step(state, Sample(np.array([1.0, 0.0]), 1), model)
+    assert np.allclose(new.w, [-0.02, 0.02, 0.0, 0.0, -0.02, 0.02])
     early = BaselineState(kind="sgd", w=np.zeros(4), lr=0.1, schedule=((3, 0.2),), epoch=2)
     assert effective_lr(early) == 0.1
     stacked = BaselineState(
@@ -184,7 +201,7 @@ def test_sgd_gradient_matches_finite_differences(loss, l2):
     w = init_params(model, seed=9)
     x, y = rng.normal(size=3), 2
     state = BaselineState(kind="sgd", w=w, lr=0.05, momentum=0.0, l2=l2, loss=loss)
-    new, _ = sgd_nesterov_step(state, [Sample(x, y)], model)
+    new, _ = sgd_nesterov_step(state, Sample(x, y), model)
     g_implied = (w - new.w) / 0.05
     if loss == "svm":
         # the hinge argmax must not change under the 1e-5 probes
@@ -200,13 +217,13 @@ def test_sgd_gradient_matches_finite_differences(loss, l2):
 
 
 def test_adagrad_first_step_worked_example():
-    # x=(3,0) makes g=(3,-3,0,0); first-step denominator is sqrt(g^2+eps)
+    # x=(3,0) makes g=(3,-3,0,0,1,-1); first-step denominator is sqrt(g^2+eps)
     model = linear_pair_model()
-    state = BaselineState(kind="adagrad", w=np.zeros(4), lr=0.1, l2=0.0)
-    new, _ = adaptive_baseline_step(state, [Sample(np.array([3.0, 0.0]), 1)], model)
-    g = np.array([3.0, -3.0, 0.0, 0.0])
+    state = BaselineState(kind="adagrad", w=np.zeros(6), lr=0.1, l2=0.0)
+    new, _ = adaptive_baseline_step(state, Sample(np.array([3.0, 0.0]), 1), model)
+    g = np.array([3.0, -3.0, 0.0, 0.0, 1.0, -1.0])
     assert np.array_equal(new.w, -0.1 * g / np.sqrt(g * g + 1e-10))
-    assert np.allclose(new.w, [-0.1, 0.1, 0.0, 0.0], atol=1e-8)
+    assert np.allclose(new.w, [-0.1, 0.1, 0.0, 0.0, -0.1, 0.1], atol=1e-8)
     assert np.array_equal(new.moments[0], g * g)
 
 
@@ -220,9 +237,9 @@ def test_adam_zero_gradient_is_noop():
 def test_adam_first_step_is_sign_scaled():
     # bias correction makes the first update lr * g / (|g| + eps)
     model = linear_pair_model()
-    state = BaselineState(kind="adam", w=np.zeros(4), lr=0.1, l2=0.0)
-    new, _ = adaptive_baseline_step(state, [Sample(np.array([3.0, 0.0]), 1)], model)
-    assert np.allclose(new.w, [-0.1, 0.1, 0.0, 0.0], atol=1e-7)
+    state = BaselineState(kind="adam", w=np.zeros(6), lr=0.1, l2=0.0)
+    new, _ = adaptive_baseline_step(state, Sample(np.array([3.0, 0.0]), 1), model)
+    assert np.allclose(new.w, [-0.1, 0.1, 0.0, 0.0, -0.1, 0.1], atol=1e-7)
     assert new.step_count == 1
 
 
